@@ -23,8 +23,9 @@
 //!   event; readers serve queries from a cached `Arc` without ever
 //!   blocking on allocator work.
 //! * [`server`] — [`serve`]: one writer thread owns the allocator and
-//!   drains a **bounded** MPSC queue; admission control sheds mutations
-//!   with a typed `Overloaded` response when the queue is full (the
+//!   drains a **bounded** MPSC queue, one fsync per drained batch;
+//!   admission control sheds mutations with a typed `Overloaded`
+//!   response when `queue_depth` are admitted but not yet applied (the
 //!   accept path never blocks on the writer), and the drain-then-close
 //!   shutdown applies every admitted mutation before exit.
 //! * [`client`] — a blocking client ([`Client`]) for load generators

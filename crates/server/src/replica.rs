@@ -37,7 +37,9 @@
 //! frontier, and the new epoch fences the old leader off.
 
 use crate::protocol::{ClientOptions, Response, Role};
-use crate::server::{run_acceptor, Admitted, ReplicaCtx, ServerHandle, Shared};
+use crate::server::{
+    apply_and_publish, run_acceptor, Admitted, CheckpointCadence, ReplicaCtx, ServerHandle, Shared,
+};
 use crate::swap::SnapshotSwap;
 use crate::wal::{self, RecoveryReport, Wal};
 use crate::Client;
@@ -181,7 +183,7 @@ pub fn serve_follower<R>(
     let mut wal_log = Wal::open(&cfg.state_dir, recovery.wal_seq, cfg.segment_events)?;
 
     let swap = SnapshotSwap::new(allocator.snapshot());
-    let shared = Shared::new();
+    let shared = Shared::new(0);
     shared.wal_seq.store(recovery.wal_seq, Ordering::Release);
     shared.leader_seq.store(recovery.wal_seq, Ordering::Release);
     let epoch = wal::read_fencing_epoch(&cfg.state_dir)?;
@@ -194,7 +196,7 @@ pub fn serve_follower<R>(
     // Handlers need a sender for their signature, but a follower's
     // `Mutate` arm answers `NotLeader` before ever admitting — the
     // channel stays empty by construction.
-    let (tx, _rx) = std::sync::mpsc::sync_channel::<Admitted>(1);
+    let (tx, _rx) = std::sync::mpsc::channel::<Admitted>();
     let handle = ServerHandle {
         addr,
         swap: swap.clone(),
@@ -304,7 +306,7 @@ fn apply_loop<'g>(
         bootstraps: 0,
         fenced_rejects: 0,
     };
-    let mut since_checkpoint: u64 = 0;
+    let mut cadence = CheckpointCadence::new(dir, cfg.checkpoint_interval);
     // Endpoints to try, current first; rotated on failure so a dead
     // leader doesn't starve the peers that know the new one.
     let mut endpoints: Vec<String> = std::iter::once(cfg.leader_addr.clone())
@@ -416,6 +418,9 @@ fn apply_loop<'g>(
                     // leader recorded its stages under — the follower's
                     // stages extend that timeline across the process
                     // boundary.
+                    // Checkpoint frontiers come from the local log,
+                    // never from the wire.
+                    let local_base = wal_log.seq();
                     let append_start = flight::now_ns();
                     for ev in &events {
                         wal_log.append(ev).expect("follower WAL append failed");
@@ -433,28 +438,20 @@ fn apply_loop<'g>(
                     shared.wal_seq.store(wal_log.seq(), Ordering::Release);
                     tirm_obs::registry::REPL_FOLLOWER_LAG
                         .set(durable_seq.saturating_sub(wal_log.seq()));
-                    for (i, ev) in events.iter().enumerate() {
-                        let trace = trace_base + i as u64;
-                        flight::set_current_trace(trace);
-                        let apply_start = flight::now_ns();
-                        let outcome = allocator.process(ev);
-                        flight::record_since(trace, Stage::FollowerApply, apply_start);
-                        match outcome {
-                            Ok(_) => swap.publish(allocator.snapshot()),
-                            Err(_) => {
-                                out.rejected_on_apply += 1;
-                                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                            }
+                    for (i, ev) in (0u64..).zip(&events) {
+                        if !apply_and_publish(
+                            allocator,
+                            ev,
+                            trace_base + i,
+                            Stage::FollowerApply,
+                            swap,
+                            shared,
+                        ) {
+                            out.rejected_on_apply += 1;
                         }
+                        cadence.applied(local_base + i + 1, allocator, wal_log)?;
                     }
-                    flight::set_current_trace(0);
                     out.applied += events.len() as u64;
-                    since_checkpoint += events.len() as u64;
-                    if since_checkpoint >= cfg.checkpoint_interval {
-                        wal::write_checkpoint(dir, allocator, wal_log.seq())?;
-                        wal_log.prune(wal_log.seq())?;
-                        since_checkpoint = 0;
-                    }
                 }
                 Ok(Response::ReplicateBootstrap {
                     fencing_epoch,
@@ -485,7 +482,7 @@ fn apply_loop<'g>(
                     ) {
                         Ok(()) => {
                             out.bootstraps += 1;
-                            since_checkpoint = 0;
+                            cadence.reset();
                         }
                         // A download cut short (leader died or was
                         // deposed mid-stream, chunk decode failure) is
@@ -540,10 +537,7 @@ fn apply_loop<'g>(
     // Wind-down checkpoint: a promoted or cleanly stopped follower
     // restarts (or re-serves as leader) from a warm checkpoint instead
     // of a tail replay.
-    if since_checkpoint > 0 {
-        wal::write_checkpoint(dir, allocator, wal_log.seq())?;
-        wal_log.prune(wal_log.seq())?;
-    }
+    cadence.finish(allocator, wal_log)?;
     out.final_snapshot = allocator.snapshot();
     out.stats = allocator.stats();
     Ok(out)

@@ -10,14 +10,16 @@
 //!        ┌──────────┼──────────┐
 //!   handler     handler     handler          reads: answered from the
 //!        │          │          │              handler's cached snapshot
-//!        └── try_send ─┬───────┘              (SnapshotReader, lock-free)
+//!        └──── admit ──┬───────┘              (SnapshotReader, lock-free)
 //!                      ▼
-//!         bounded sync_channel (queue_depth)   ← admission control:
-//!                      │                          full ⇒ typed Overloaded,
-//!                      ▼                          never a blocked accept
+//!    mpsc queue: ≤ queue_depth admitted         ← admission control:
+//!    and not yet applied                          full ⇒ typed Overloaded,
+//!                      │                          never a blocked accept
+//!                      ▼
 //!             writer thread (owns OnlineAllocator)
-//!                      │ after each applied event
-//!                      ▼
+//!                      │ drains the queue: append every frame, one
+//!                      │ fsync, then apply each event in order
+//!                      ▼ after each applied event
 //!             SnapshotSwap::publish(Arc<AllocationSnapshot>)
 //! ```
 //!
@@ -43,9 +45,9 @@ use crate::wal::{self, RecoveryReport, ReplicaBatch, Wal};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
@@ -93,7 +95,8 @@ pub struct ServerConfig {
     pub online: OnlineConfig,
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub bind: String,
-    /// Write-queue bound: mutations beyond this many queued + in-flight
+    /// Write-queue bound: mutations beyond this many admitted but not
+    /// yet applied (queued, or drained into the writer's current batch)
     /// are shed with [`Response::Overloaded`]. Must be ≥ 1.
     pub queue_depth: usize,
     /// Connection admission bound: connections beyond this many open at
@@ -104,17 +107,11 @@ pub struct ServerConfig {
     /// handler can block on an idle socket.
     pub read_poll: Duration,
     /// Durability: `Some` ⇒ every admitted mutation is WAL-logged
-    /// (group-commit fsync) before it is applied, state is checkpointed
-    /// on the configured cadence, and startup recovers checkpoint +
-    /// log tail. `None` ⇒ memory-only.
+    /// before it is applied — the writer drains whatever is queued,
+    /// appends every frame and pays one fsync for the batch (group
+    /// commit) — state is checkpointed on the configured cadence, and
+    /// startup recovers checkpoint + log tail. `None` ⇒ memory-only.
     pub durability: Option<DurabilityConfig>,
-    /// Per-ad shard writer threads for the reconciliation step. `1` ⇒
-    /// the classic single-writer path (apply + publish per event);
-    /// `> 1` ⇒ the writer drains the queue in batches and fans the
-    /// per-ad TIRM runs across this many threads
-    /// ([`OnlineAllocator::process_batch`]) — bit-identical output for
-    /// any value. Must be ≥ 1.
-    pub shard_writers: usize,
 }
 
 impl Default for ServerConfig {
@@ -126,7 +123,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             read_poll: Duration::from_millis(25),
             durability: None,
-            shard_writers: 1,
         }
     }
 }
@@ -226,12 +222,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Per-ad shard writer threads (1 = single-writer path).
-    pub fn shard_writers(mut self, shards: usize) -> Self {
-        self.cfg.shard_writers = shards;
-        self
-    }
-
     /// Validates and returns the config. `Err` names the first bad
     /// field.
     pub fn build(self) -> Result<ServerConfig, String> {
@@ -241,9 +231,6 @@ impl ServerConfigBuilder {
         }
         if cfg.max_connections < 1 {
             return Err("max_connections must be >= 1".into());
-        }
-        if cfg.shard_writers < 1 {
-            return Err("shard_writers must be >= 1".into());
         }
         if cfg.read_poll.is_zero() {
             return Err("read_poll must be non-zero (it paces shutdown checks)".into());
@@ -270,7 +257,14 @@ impl ServerConfigBuilder {
 /// Counters and flags shared by every thread of a server.
 pub(crate) struct Shared {
     pub(crate) stop: AtomicBool,
-    /// Mutations queued or in flight at the writer.
+    /// Admission bound on `queue_len` ([`ServerConfig::queue_depth`];
+    /// 0 on a follower, which never admits).
+    pub(crate) queue_bound: usize,
+    /// Mutations admitted but not yet applied: queued, or drained into
+    /// the writer's current batch. The writer's decrement (`Release`,
+    /// after the event's publish) pairs with the `Acquire` loads behind
+    /// `queue_depth`: reading 0 means every admitted mutation's snapshot
+    /// is published.
     pub(crate) queue_len: AtomicUsize,
     pub(crate) max_queue_len: AtomicUsize,
     pub(crate) accepted: AtomicU64,
@@ -304,9 +298,10 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new() -> Arc<Shared> {
+    pub(crate) fn new(queue_bound: usize) -> Arc<Shared> {
         Arc::new(Shared {
             stop: AtomicBool::new(false),
+            queue_bound,
             queue_len: AtomicUsize::new(0),
             max_queue_len: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
@@ -356,9 +351,9 @@ impl ServerHandle {
         SnapshotReader::new(self.swap.clone())
     }
 
-    /// Mutations currently queued or in flight at the writer.
+    /// Mutations currently admitted but not yet applied.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue_len.load(Ordering::Relaxed)
+        self.shared.queue_len.load(Ordering::Acquire)
     }
 
     /// High-water mark of the write queue.
@@ -481,7 +476,6 @@ pub fn serve<R>(
 ) -> std::io::Result<(R, ServeReport)> {
     assert!(cfg.queue_depth >= 1, "queue_depth must admit something");
     assert!(cfg.max_connections >= 1, "need at least one connection");
-    assert!(cfg.shard_writers >= 1, "need at least one shard writer");
     let listener = TcpListener::bind(&cfg.bind)?;
     let addr = listener.local_addr()?;
 
@@ -501,7 +495,7 @@ pub fn serve<R>(
         ),
     };
     let swap = SnapshotSwap::new(allocator.snapshot());
-    let shared = Shared::new();
+    let shared = Shared::new(cfg.queue_depth);
     let frontier = recovery.as_ref().map_or(0, |r| r.wal_seq);
     shared.wal_seq.store(frontier, Ordering::Release);
     shared.leader_seq.store(frontier, Ordering::Release);
@@ -522,7 +516,9 @@ pub fn serve<R>(
     tirm_obs::registry::BUILD_PROTOCOL_VERSION.set(PROTOCOL_VERSION as u64);
     tirm_obs::registry::BUILD_SCHEMA_VERSION.set(wal::WAL_VERSION as u64);
     flight::now_ns();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
+    // The channel itself is unbounded: admission control bounds it by
+    // counting every mutation until the writer has applied it.
+    let (tx, rx) = std::sync::mpsc::channel::<Admitted>();
     let handle = ServerHandle {
         addr,
         swap: swap.clone(),
@@ -530,21 +526,17 @@ pub fn serve<R>(
     };
 
     let (result, final_snapshot, stats) = std::thread::scope(|s| {
-        // Writer: the only thread that ever touches the allocator (the
-        // shard threads it may fan out to live inside process_batch and
-        // are joined before it returns).
+        // Writer: the only thread that ever touches the allocator.
         let writer = {
             let swap = swap.clone();
             let shared = shared.clone();
             let durability = cfg.durability.clone();
-            let shard_writers = cfg.shard_writers;
             s.spawn(move || {
                 writer_loop(
                     &rx,
                     &mut allocator,
                     wal_log.as_mut(),
                     durability.as_ref(),
-                    shard_writers,
                     &swap,
                     &shared,
                 );
@@ -648,7 +640,7 @@ pub(crate) fn run_acceptor<'scope>(
     listener: TcpListener,
     shared: Arc<Shared>,
     swap: Arc<SnapshotSwap>,
-    tx: SyncSender<Admitted>,
+    tx: Sender<Admitted>,
     ctx: Arc<ReplicaCtx>,
     read_poll: Duration,
     max_connections: usize,
@@ -691,13 +683,13 @@ pub(crate) struct Admitted {
     pub(crate) enqueue_ns: u64,
 }
 
-/// The writer's drain loop. Per batch: log every frame, fsync **once**,
-/// then apply — the WAL-before-apply invariant that makes a kill at any
-/// instant recoverable. With one shard writer each mutation is applied
-/// and published individually (the classic path, minimal read-path
-/// staleness); with several the deferred per-ad TIRM runs fan out
-/// across threads and the batch publishes once — bit-identical output
-/// either way.
+/// The writer's drain loop, one path for every batch: drain whatever
+/// is queued, log every frame, fsync **once** (group commit), then
+/// apply and publish each event on its own, in admission order — the
+/// WAL-before-apply invariant that makes a kill at any instant
+/// recoverable, with the read-path staleness of one publish per event.
+/// Each event leaves the admission count only once it is applied, so a
+/// drained batch keeps counting against `queue_depth`.
 ///
 /// A WAL I/O failure is fatal by design: continuing would hand out
 /// `Accepted` responses for mutations that can never be recovered. The
@@ -708,28 +700,16 @@ fn writer_loop(
     allocator: &mut OnlineAllocator<'_>,
     mut wal_log: Option<&mut Wal>,
     durability: Option<&DurabilityConfig>,
-    shard_writers: usize,
     swap: &SnapshotSwap,
     shared: &Shared,
 ) {
-    let mut batch: Vec<OnlineEvent> = Vec::new();
-    // Parallel to `batch`: (admit_ns, enqueue_ns) flight stamps, kept
-    // out of the event vec so `process_batch` sees plain events.
-    let mut stamps: Vec<(u64, u64)> = Vec::new();
-    let mut since_checkpoint: u64 = 0;
+    let mut cadence =
+        durability.map(|d| CheckpointCadence::new(&d.state_dir, d.checkpoint_interval));
+    let mut batch: Vec<Admitted> = Vec::new();
     while let Ok(first) = rx.recv() {
         batch.clear();
-        stamps.clear();
-        stamps.push((first.admit_ns, first.enqueue_ns));
-        batch.push(first.ev);
-        if shard_writers > 1 {
-            // Opportunistic group commit: everything already queued
-            // shares one fsync and one shard fan-out.
-            while let Ok(a) = rx.try_recv() {
-                stamps.push((a.admit_ns, a.enqueue_ns));
-                batch.push(a.ev);
-            }
-        }
+        batch.push(first);
+        batch.extend(rx.try_iter());
         let dequeue_ns = flight::now_ns();
 
         // `base` is the WAL position before this batch; event i lands
@@ -738,8 +718,8 @@ fn writer_loop(
         // same positional numbering so lineage works without a WAL.
         let base = if let Some(log) = wal_log.as_deref_mut() {
             let base = log.seq();
-            for ev in &batch {
-                log.append(ev).expect("write-ahead log append failed");
+            for a in &batch {
+                log.append(&a.ev).expect("write-ahead log append failed");
             }
             log.sync().expect("write-ahead log fsync failed");
             shared.wal_seq.store(log.seq(), Ordering::Release);
@@ -754,79 +734,129 @@ fn writer_loop(
                 .store(base + batch.len() as u64, Ordering::Release);
             base
         };
-        // The trace id only exists now that the append assigned a
-        // position — record the admission-side stages retroactively.
-        for (i, (admit_ns, enqueue_ns)) in stamps.iter().enumerate() {
-            let trace = base + i as u64 + 1;
-            flight::record(trace, Stage::Admit, *admit_ns, *enqueue_ns);
-            flight::record(trace, Stage::Queue, *enqueue_ns, dequeue_ns);
-        }
-
-        if shard_writers == 1 {
-            for (i, ev) in batch.iter().enumerate() {
-                let trace = base + i as u64 + 1;
-                flight::set_current_trace(trace);
-                let apply_start = flight::now_ns();
-                // A rejected event changed nothing (and didn't bump
-                // the epoch): skip the O(ads + seeds) snapshot copy
-                // and the reader-side refresh it would force.
-                let outcome = allocator.process(ev);
-                flight::record_since(trace, Stage::Apply, apply_start);
-                match outcome {
-                    Ok(_) => swap.publish(allocator.snapshot()),
-                    Err(_) => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        tirm_obs::registry::SERVER_REJECTED.inc();
-                    }
-                }
+        for (trace, a) in (base + 1..).zip(&batch) {
+            // The trace id only exists now that the append assigned a
+            // position — record the admission-side stages retroactively.
+            flight::record(trace, Stage::Admit, a.admit_ns, a.enqueue_ns);
+            flight::record(trace, Stage::Queue, a.enqueue_ns, dequeue_ns);
+            if !apply_and_publish(allocator, &a.ev, trace, Stage::Apply, swap, shared) {
+                tirm_obs::registry::SERVER_REJECTED.inc();
             }
-        } else {
-            // The fan-out applies the whole batch as one unit, so each
-            // event's apply span is the batch's; the publish that
-            // follows is attributed to the batch's last trace.
-            flight::set_current_trace(base + batch.len() as u64);
-            let apply_start = flight::now_ns();
-            let outcomes = allocator.process_batch(&batch, shard_writers);
-            let apply_end = flight::now_ns();
-            for i in 0..batch.len() as u64 {
-                flight::record(base + i + 1, Stage::Apply, apply_start, apply_end);
-            }
-            let mut applied = false;
-            for outcome in &outcomes {
-                match outcome {
-                    Ok(_) => applied = true,
-                    Err(_) => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        tirm_obs::registry::SERVER_REJECTED.inc();
-                    }
-                }
-            }
-            if applied {
-                swap.publish(allocator.snapshot());
-            }
-        }
-        flight::set_current_trace(0);
-        shared.queue_len.fetch_sub(batch.len(), Ordering::Relaxed);
-
-        if let (Some(log), Some(d)) = (wal_log.as_deref_mut(), durability) {
-            since_checkpoint += batch.len() as u64;
-            if since_checkpoint >= d.checkpoint_interval {
-                wal::write_checkpoint(&d.state_dir, allocator, log.seq())
+            shared.queue_len.fetch_sub(1, Ordering::Release);
+            // The trace id is also the applied frontier: events
+            // `< trace` are applied, so a checkpoint may cover them.
+            if let (Some(log), Some(c)) = (wal_log.as_deref_mut(), cadence.as_mut()) {
+                c.applied(trace, allocator, log)
                     .expect("checkpoint write failed");
-                log.prune(log.seq()).expect("WAL prune failed");
-                since_checkpoint = 0;
             }
         }
     }
     // Clean shutdown (every sender hung up, queue drained): checkpoint
     // the final state so the next boot warm-loads it instead of
     // replaying the tail — only a crash leaves replay work behind.
-    if let (Some(log), Some(d)) = (wal_log, durability) {
-        if since_checkpoint > 0 {
-            wal::write_checkpoint(&d.state_dir, allocator, log.seq())
-                .expect("shutdown checkpoint write failed");
-            log.prune(log.seq()).expect("WAL prune failed");
+    if let (Some(log), Some(c)) = (wal_log, cadence.as_mut()) {
+        c.finish(allocator, log)
+            .expect("shutdown checkpoint write failed");
+    }
+}
+
+/// Applies one logged event under its lineage `trace` and publishes the
+/// new snapshot — the per-event step of the leader's writer
+/// ([`Stage::Apply`]) and the follower's apply loop
+/// ([`Stage::FollowerApply`]). A rejected event changed nothing (and
+/// didn't bump the epoch): it skips the O(ads + seeds) snapshot copy
+/// and the reader-side refresh it would force, is counted into
+/// `rejected`, and returns `false`.
+pub(crate) fn apply_and_publish(
+    allocator: &mut OnlineAllocator<'_>,
+    ev: &OnlineEvent,
+    trace: u64,
+    stage: Stage,
+    swap: &SnapshotSwap,
+    shared: &Shared,
+) -> bool {
+    flight::set_current_trace(trace);
+    let apply_start = flight::now_ns();
+    let outcome = allocator.process(ev);
+    flight::record_since(trace, stage, apply_start);
+    if outcome.is_ok() {
+        swap.publish(allocator.snapshot());
+    } else {
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+    flight::set_current_trace(0);
+    outcome.is_ok()
+}
+
+/// Checkpoint cadence over a durable state dir, shared by the leader's
+/// writer and the follower's apply loop: after every `interval` applied
+/// events, write a checkpoint at the applied frontier and prune the WAL
+/// segments it covers. The frontier may sit inside a group-committed
+/// batch; the batch's later frames are already in the log, so recovery
+/// replays them from there.
+pub(crate) struct CheckpointCadence<'d> {
+    dir: &'d Path,
+    interval: u64,
+    since: u64,
+}
+
+impl<'d> CheckpointCadence<'d> {
+    pub(crate) fn new(dir: &'d Path, interval: u64) -> CheckpointCadence<'d> {
+        CheckpointCadence {
+            dir,
+            interval,
+            since: 0,
         }
+    }
+
+    /// Counts one more applied event — `frontier` events are now
+    /// applied — checkpointing at `frontier` once the interval is
+    /// reached.
+    pub(crate) fn applied(
+        &mut self,
+        frontier: u64,
+        allocator: &mut OnlineAllocator<'_>,
+        log: &mut Wal,
+    ) -> std::io::Result<()> {
+        self.since += 1;
+        if self.since >= self.interval {
+            self.checkpoint(frontier, allocator, log)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Checkpoints whatever was applied since the last checkpoint — the
+    /// wind-down step, once every logged event is applied, so a restart
+    /// warm-loads instead of replaying.
+    pub(crate) fn finish(
+        &mut self,
+        allocator: &mut OnlineAllocator<'_>,
+        log: &mut Wal,
+    ) -> std::io::Result<()> {
+        if self.since > 0 {
+            self.checkpoint(log.seq(), allocator, log)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Restarts the count — the state was just replaced by one that
+    /// already has a checkpoint (a follower's bootstrap).
+    pub(crate) fn reset(&mut self) {
+        self.since = 0;
+    }
+
+    fn checkpoint(
+        &mut self,
+        frontier: u64,
+        allocator: &mut OnlineAllocator<'_>,
+        log: &mut Wal,
+    ) -> std::io::Result<()> {
+        wal::write_checkpoint(self.dir, allocator, frontier)?;
+        log.prune(frontier)?;
+        self.since = 0;
+        Ok(())
     }
 }
 
@@ -849,7 +879,7 @@ fn refuse_connection(mut stream: TcpStream) {
 /// `try_send` admission — full queue ⇒ `Overloaded`, never a block.
 pub(crate) fn handle_connection(
     mut stream: TcpStream,
-    tx: SyncSender<Admitted>,
+    tx: Sender<Admitted>,
     swap: Arc<SnapshotSwap>,
     shared: &Shared,
     ctx: &ReplicaCtx,
@@ -937,7 +967,7 @@ pub(crate) fn handle_connection(
                     total_seeds: snap.total_seeds(),
                     total_rr_sets: snap.total_rr_sets,
                     engine_memory_bytes: snap.engine_memory_bytes,
-                    queue_depth: shared.queue_len.load(Ordering::Relaxed),
+                    queue_depth: shared.queue_len.load(Ordering::Acquire),
                     max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
                     accepted: shared.accepted.load(Ordering::Relaxed),
                     shed: shared.shed.load(Ordering::Relaxed),
@@ -1001,11 +1031,12 @@ pub(crate) fn handle_connection(
 }
 
 /// Admission control for one mutation: count it into the queue depth
-/// first (so the writer's decrement can never race below zero), then
-/// try to enqueue; a full queue rolls the count back and sheds.
+/// first (so the writer's decrement can never race below zero) unless
+/// that would pass the bound, which sheds; then enqueue. The writer
+/// releases the count once it has applied the mutation.
 fn admit(
     ev: &OnlineEvent,
-    tx: &SyncSender<Admitted>,
+    tx: &Sender<Admitted>,
     reader: &mut SnapshotReader,
     shared: &Shared,
 ) -> Response {
@@ -1013,9 +1044,21 @@ fn admit(
     // queue stages retroactively once the WAL append assigns this
     // mutation's position (= its trace id).
     let admit_ns = flight::now_ns();
-    let depth = shared.queue_len.fetch_add(1, Ordering::Relaxed) + 1;
+    let counted = shared
+        .queue_len
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+            (d < shared.queue_bound).then_some(d + 1)
+        });
+    let depth = match counted {
+        Ok(before) => before + 1,
+        Err(full) => {
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            tirm_obs::registry::SERVER_SHED.inc();
+            return Response::Overloaded { queue_depth: full };
+        }
+    };
     let enqueue_ns = flight::now_ns();
-    match tx.try_send(Admitted {
+    match tx.send(Admitted {
         ev: ev.clone(),
         admit_ns,
         enqueue_ns,
@@ -1030,15 +1073,7 @@ fn admit(
                 queue_depth: depth,
             }
         }
-        Err(TrySendError::Full(_)) => {
-            shared.queue_len.fetch_sub(1, Ordering::Relaxed);
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-            tirm_obs::registry::SERVER_SHED.inc();
-            Response::Overloaded {
-                queue_depth: depth - 1,
-            }
-        }
-        Err(TrySendError::Disconnected(_)) => {
+        Err(_) => {
             shared.queue_len.fetch_sub(1, Ordering::Relaxed);
             Response::ShuttingDown
         }
@@ -1201,7 +1236,6 @@ mod tests {
         assert_eq!(built.queue_depth, default.queue_depth);
         assert_eq!(built.max_connections, default.max_connections);
         assert_eq!(built.read_poll, default.read_poll);
-        assert_eq!(built.shard_writers, 1);
         assert!(built.durability.is_none());
     }
 
@@ -1212,7 +1246,6 @@ mod tests {
             .segment_events(64)
             .state_dir("/tmp/tirm-state")
             .queue_depth(8)
-            .shard_writers(4)
             .build()
             .unwrap();
         let d = cfg.durability.unwrap();
@@ -1220,18 +1253,12 @@ mod tests {
         assert_eq!(d.checkpoint_interval, 16);
         assert_eq!(d.segment_events, 64);
         assert_eq!(cfg.queue_depth, 8);
-        assert_eq!(cfg.shard_writers, 4);
     }
 
     #[test]
     fn builder_rejects_nonsense_with_the_offending_field_named() {
         let err = ServerConfig::builder().queue_depth(0).build().unwrap_err();
         assert!(err.contains("queue_depth"), "{err}");
-        let err = ServerConfig::builder()
-            .shard_writers(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("shard_writers"), "{err}");
         let err = ServerConfig::builder()
             .checkpoint_interval(8)
             .build()

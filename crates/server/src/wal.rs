@@ -261,7 +261,6 @@ impl Wal {
         }
         tirm_obs::registry::WAL_FSYNC_LATENCY_NS.record_traced(elapsed.as_nanos() as u64, self.seq);
         tirm_obs::registry::WAL_BATCH_EVENTS.record(batch);
-        tirm_obs::registry::SLOW_TRACE.record("wal_fsync", 0, elapsed.as_nanos() as u64);
         Ok(())
     }
 
@@ -553,9 +552,7 @@ pub fn write_checkpoint(
         }
         sync_dir(dir)?;
     }
-    let elapsed = t0.elapsed();
-    tirm_obs::registry::CHECKPOINT_WALL_NS.record_duration(elapsed);
-    tirm_obs::registry::SLOW_TRACE.record("checkpoint", 0, elapsed.as_nanos() as u64);
+    tirm_obs::registry::CHECKPOINT_WALL_NS.record_duration(t0.elapsed());
     Ok(path)
 }
 

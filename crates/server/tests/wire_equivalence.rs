@@ -169,18 +169,13 @@ fn server_final(
             assert!(regret.is_finite());
             assert!(epoch <= events.len() as u64);
         }
-        // Wire view of the allocation after the writer catches up: poll
-        // until the epoch stops moving (all admitted events applied).
-        let mut last = reader.allocation().expect("allocation query");
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let cur = reader.allocation().expect("allocation query");
-            if cur.epoch == last.epoch && handle.queue_depth() == 0 {
-                break;
-            }
-            last = cur;
+        // Wire view of the allocation after the writer catches up:
+        // every mutation above was admitted, so an empty queue means
+        // each one is applied and its snapshot published.
+        while handle.queue_depth() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        last
+        reader.allocation().expect("allocation query")
     })
     .expect("serve");
     assert_eq!(report.bad_requests, 0);

@@ -138,7 +138,7 @@ pub enum Request {
     Stats,
     /// The process-wide observability registry dump
     /// (`{"type":"metrics"}`): every counter, gauge and latency
-    /// histogram plus the slow-event trace, as one JSON object.
+    /// histogram plus the build identity, as one JSON object.
     Metrics,
     /// The event-lineage flight-recorder dump
     /// (`{"type":"trace_dump"}`): the process's per-mutation lifecycle
@@ -394,7 +394,7 @@ pub enum Response {
     /// Serving statistics.
     Stats(StatsView),
     /// The observability registry dump: one JSON object (`counters`,
-    /// `gauges`, `histograms`, `slow_events`) embedded verbatim. All
+    /// `gauges`, `histograms`, `build`) embedded verbatim. All
     /// values are integers and object order is preserved by the codec,
     /// so the dump round-trips byte-exactly.
     Metrics {
@@ -1200,7 +1200,7 @@ mod tests {
             }),
             Response::Metrics {
                 json: "{\"counters\":{\"tirm_server_shed_total\":2},\"gauges\":{},\
-                       \"histograms\":{},\"slow_events\":[]}"
+                       \"histograms\":{}}"
                     .to_string(),
             },
             Response::TraceDump {
