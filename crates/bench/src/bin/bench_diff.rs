@@ -7,9 +7,11 @@
 //! ```
 //!
 //! Exit codes: `0` no regressions, `1` regressions found, `2` usage or
-//! decode error. Wall-clock metrics are only compared when both artifacts
-//! were measured on the same machine class (identical env fingerprints) —
-//! pass `--force-time` to compare anyway. Deterministic metrics (θ,
+//! decode error (including an artifact of another schema version: both
+//! must match this binary's `SCHEMA_VERSION` exactly). Wall-clock
+//! metrics are only compared when both artifacts were measured on the
+//! same machine class (identical env fingerprints) — pass
+//! `--force-time` to compare anyway. Deterministic metrics (θ,
 //! seeds, regret, memory accounting) are always compared.
 //!
 //! Flags: `--time-tol F` (default 0.15), `--min-time-s F` (default 0.05),
@@ -90,16 +92,6 @@ fn main() -> ExitCode {
         (Ok(o), Ok(n)) => (o, n),
         (Err(e), _) | (_, Err(e)) => return usage(&e),
     };
-    if old.schema_version != new.schema_version {
-        // Loadable ⇒ comparable: newer schema versions only add fields,
-        // which the decoder defaults when absent (e.g. a v1 baseline has
-        // no ingestion timings — they read as 0 and are never gated on).
-        eprintln!(
-            "note: comparing across schema versions ({} vs {}); \
-             fields absent from the older artifact default to 0",
-            old.schema_version, new.schema_version
-        );
-    }
 
     println!(
         "### bench_diff: `{}` ({}) → `{}` ({})\n",

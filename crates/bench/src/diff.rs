@@ -328,9 +328,9 @@ fn diff_cell(
 
     // RR-index layout: bytes-per-posting is deterministic (a pure
     // function of the run's postings), so it gates like memory but
-    // cross-machine too. A zero baseline (pre-v5 artifact, or a non-RR
-    // cell) has nothing to compare — the field's introduction surfaces
-    // as drift, not a regression.
+    // cross-machine too. A zero baseline (a non-RR cell, or one that
+    // sampled nothing) has nothing to compare — the field's first
+    // appearance surfaces as drift, not a regression.
     let (o, n) = (oc.bytes_per_posting, nc.bytes_per_posting);
     if o > 0.0 && rel_exceeds(o, n, opts.mem_rel_tol) {
         push("bytes_per_posting", o, n, Verdict::Regression);
@@ -350,11 +350,6 @@ fn diff_cell(
             nc.distinct_targeted as f64,
         ),
         ("revenue", oc.revenue, nc.revenue),
-        (
-            "legacy_bytes_per_posting",
-            oc.legacy_bytes_per_posting,
-            nc.legacy_bytes_per_posting,
-        ),
         ("nodes", oc.nodes as f64, nc.nodes as f64),
         ("edges", oc.edges as f64, nc.edges as f64),
     ] {
@@ -486,7 +481,6 @@ mod tests {
             revenue: 110.0,
             memory_bytes: 8 << 20,
             bytes_per_posting: 5.2,
-            legacy_bytes_per_posting: 7.8,
             wall_s: 2.0,
             eval_s: 0.5,
             dataset_cold_s: 1.0,
@@ -673,22 +667,18 @@ mod tests {
             .iter()
             .any(|f| f.metric == "bytes_per_posting" && f.verdict == Verdict::Improvement));
 
-        // Pre-v5 baselines decode the field as 0: its first appearance
-        // is informational drift, never a regression.
-        let mut prev5 = cell("a");
-        prev5.bytes_per_posting = 0.0;
-        prev5.legacy_bytes_per_posting = 0.0;
-        let old = report(vec![prev5]);
+        // A zero baseline (a cell that sampled nothing) has no ratio to
+        // gate: the field's first appearance is informational drift,
+        // never a regression.
+        let mut unsampled = cell("a");
+        unsampled.bytes_per_posting = 0.0;
+        let old = report(vec![unsampled]);
         let d = diff_reports(&old, &report(vec![cell("a")]), &DiffOptions::default());
         assert!(!d.has_regressions(), "{:?}", d.findings);
         assert!(d
             .findings
             .iter()
             .any(|f| f.metric == "bytes_per_posting" && f.verdict == Verdict::Drift));
-        assert!(d
-            .findings
-            .iter()
-            .any(|f| f.metric == "legacy_bytes_per_posting" && f.verdict == Verdict::Drift));
     }
 
     #[test]

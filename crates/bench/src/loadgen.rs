@@ -69,7 +69,7 @@ pub struct LoadgenConfig {
     /// Connection behavior. `reconnect_attempts == 0` (the default)
     /// keeps a lost connection fatal; a positive budget turns resets
     /// into bounded reconnect-with-backoff plus resume-from-`wal_seq`
-    /// (requires `handshake`, enforced by [`drive`]). Each concurrent
+    /// (the `hello` handshake's resume anchor). Each concurrent
     /// client derives its own deterministic backoff jitter from its
     /// seed (unless the caller pinned one here), so a fleet that lost
     /// the same server re-dials spread out instead of in lockstep.
@@ -185,12 +185,6 @@ pub fn percentile_u64(samples: &[u64], p: f64) -> u64 {
 /// Drives `log` against the server at `addr`. Returns when the log is
 /// sent (and, with `drain`, applied) and the readers have stopped.
 pub fn drive(addr: SocketAddr, log: &[LogEvent], cfg: &LoadgenConfig) -> io::Result<LoadReport> {
-    if cfg.reconnect.reconnect_attempts > 0 && !cfg.reconnect.handshake {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "reconnect needs the hello handshake: wal_seq is the resume anchor",
-        ));
-    }
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
     let (mutation_side, read_side) = std::thread::scope(|s| -> io::Result<_> {
@@ -338,13 +332,10 @@ fn reconnect(
     opts: &ClientOptions,
 ) -> io::Result<(Client, usize)> {
     let client = Client::connect_with(addr, opts)?;
-    let hello = client.hello().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "reconnected without a hello; no resume anchor",
-        )
-    })?;
-    let at = resume_index(log, hello.wal_seq);
+    let at = resume_index(
+        log,
+        client.hello().expect("connect_with handshakes").wal_seq,
+    );
     Ok((client, at))
 }
 
@@ -356,17 +347,15 @@ fn mutation_loop(
     let opts = &jittered(&cfg.reconnect, cfg.seed);
     let resumable = opts.reconnect_attempts > 0;
     let mut i = 0usize;
-    let mut client = if resumable || opts.handshake {
-        let c = Client::connect_with(addr, opts)?;
-        if resumable {
-            // The server may already hold a durable prefix of this log
-            // (a previous partial run); don't send it twice.
-            i = resume_index(log, c.hello().expect("handshake enforced").wal_seq);
-        }
-        c
-    } else {
-        Client::connect(addr)?
-    };
+    let mut client = Client::connect_with(addr, opts)?;
+    if resumable {
+        // The server may already hold a durable prefix of this log
+        // (a previous partial run); don't send it twice.
+        i = resume_index(
+            log,
+            client.hello().expect("connect_with handshakes").wal_seq,
+        );
+    }
     let mut overall = LatencyHistogram::default();
     let mut per_kind: Vec<(EventKind, LatencyHistogram)> = EventKind::ALL
         .into_iter()

@@ -251,9 +251,8 @@ pub fn run_online_cell(
         revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
         memory_bytes,
         // The online allocator folds postings accounting into its own
-        // memory story; layout ratios are a batch-cell metric.
+        // memory story; the layout ratio is a batch-cell metric.
         bytes_per_posting: 0.0,
-        legacy_bytes_per_posting: 0.0,
         wall_s,
         eval_s,
         dataset_cold_s: 0.0,
@@ -418,7 +417,6 @@ pub fn run_serving_cell(
         revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
         memory_bytes: snap.engine_memory_bytes,
         bytes_per_posting: 0.0,
-        legacy_bytes_per_posting: 0.0,
         wall_s,
         eval_s,
         dataset_cold_s: 0.0,
@@ -630,7 +628,6 @@ pub fn run_replicated_cell(
         revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
         memory_bytes: snap.engine_memory_bytes,
         bytes_per_posting: 0.0,
-        legacy_bytes_per_posting: 0.0,
         wall_s,
         eval_s,
         dataset_cold_s: 0.0,
@@ -939,15 +936,10 @@ pub fn cell_from_run(
         relative_regret: ev.map(|e| e.regret.relative_regret()).unwrap_or(0.0),
         revenue: ev.map(|e| e.regret.total_revenue()).unwrap_or(0.0),
         memory_bytes: stats.memory_bytes,
-        // Layout ratios: exact bytes over stored entries, both taken
+        // Layout ratio: exact bytes over stored entries, both taken
         // after the allocator compacted its postings — deterministic.
         bytes_per_posting: if stats.postings_entries > 0 {
             stats.postings_bytes as f64 / stats.postings_entries as f64
-        } else {
-            0.0
-        },
-        legacy_bytes_per_posting: if stats.postings_entries > 0 {
-            stats.legacy_postings_bytes as f64 / stats.postings_entries as f64
         } else {
             0.0
         },
@@ -1107,8 +1099,8 @@ mod tests {
     #[test]
     fn tirm_quick_cell_carries_postings_layout_ratios() {
         // One tiny TIRM cell end to end: the arena ratio must land in
-        // the artifact and beat the legacy costing (the ≥25% reduction
-        // is pinned at the index layer; here we pin the plumbing).
+        // the artifact (the ≥25% reduction against `Vec<Vec<u32>>` is
+        // pinned at the index layer; here we pin the plumbing).
         let spec = Tier::Quick
             .matrix()
             .into_iter()
@@ -1121,11 +1113,5 @@ mod tests {
         };
         let cell = run_scenario(&spec, &scale, 7);
         assert!(cell.bytes_per_posting > 0.0, "{cell:?}");
-        assert!(
-            cell.bytes_per_posting < cell.legacy_bytes_per_posting,
-            "arena layout must undercut the legacy Vec-of-Vec costing: {} vs {}",
-            cell.bytes_per_posting,
-            cell.legacy_bytes_per_posting
-        );
     }
 }

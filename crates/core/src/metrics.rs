@@ -30,10 +30,6 @@ pub struct AlgoStats {
     /// Total inverted-posting entries across ads (TIRM only). Dividing
     /// [`Self::postings_bytes`] by this gives bytes-per-posting.
     pub postings_entries: usize,
-    /// Bytes the historical `Vec<Vec<u32>>` postings layout would need
-    /// for the same contents — kept so artifact diffs can pin the arena
-    /// layout's reduction without re-deriving the old formula.
-    pub legacy_postings_bytes: usize,
 }
 
 fn ser_duration<S: serde::Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {

@@ -62,10 +62,8 @@ pub struct OnlineConfig {
     /// only update the campaign model and an explicit
     /// [`OnlineEvent::Reallocate`] batches the work.
     pub auto_reallocate: bool,
-    /// Keep departed ads' index shards for re-arrival (default).
-    pub retain_departed: bool,
-    /// Byte budget of the retained pool (oldest shards evicted beyond
-    /// it).
+    /// Byte budget of the pool that keeps departed ads' index shards
+    /// for re-arrival (oldest shards evicted beyond it).
     pub max_retained_bytes: usize,
 }
 
@@ -76,7 +74,6 @@ impl Default for OnlineConfig {
             kappa: 1,
             lambda: 0.0,
             auto_reallocate: true,
-            retain_departed: true,
             max_retained_bytes: 256 << 20,
         }
     }
@@ -298,10 +295,8 @@ impl<'g> OnlineAllocator<'g> {
         let i = self.index_of(id).ok_or(OnlineError::UnknownAd(id))?;
         let ad = self.live.remove(i);
         self.dirty.retain(|&d| d != id);
-        if self.cfg.retain_departed {
-            if let Some(state) = ad.warm {
-                self.pool.release(id, ad.adv.topics.clone(), state);
-            }
+        if let Some(state) = ad.warm {
+            self.pool.release(id, ad.adv.topics.clone(), state);
         }
         if self.contended || self.cfg.tirm.max_total_seeds.is_some() {
             // The departed seeds may have been blocking others
@@ -722,24 +717,6 @@ mod tests {
             "changed topic distribution must resample"
         );
         assert_eq!(a.stats().shard_reclaims, 0);
-    }
-
-    #[test]
-    fn retain_departed_off_drops_shards() {
-        let (g, probs) = setup();
-        let mut a = OnlineAllocator::new(
-            &g,
-            &probs,
-            OnlineConfig {
-                tirm: quick_opts(5),
-                kappa: 2,
-                retain_departed: false,
-                ..OnlineConfig::default()
-            },
-        );
-        a.process(&arrival(1, 8.0, 0)).unwrap();
-        a.process(&OnlineEvent::AdDeparture { id: 1 }).unwrap();
-        assert_eq!(a.pooled_shards(), 0);
     }
 
     #[test]

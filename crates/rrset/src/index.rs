@@ -417,25 +417,6 @@ impl RrIndex {
             + self.heads.capacity() * std::mem::size_of::<PostingHead>()
             + self.free.capacity() * 4
     }
-
-    /// What the postings structure would occupy under the pre-arena
-    /// layout (`Vec<Vec<u32>>`: one 24-byte header per node plus a
-    /// doubling buffer of capacity `max(4, len.next_power_of_two())`).
-    /// Deterministic in the list lengths, so the arena's byte reduction
-    /// is reportable without ever building the old layout. O(n).
-    pub fn legacy_postings_bytes(&self) -> usize {
-        (0..self.n)
-            .map(|v| {
-                let len = self.frozen_offsets[v + 1] - self.frozen_offsets[v] + self.heads[v].len;
-                let cap = if len == 0 {
-                    0
-                } else {
-                    len.next_power_of_two().max(4)
-                };
-                cap as usize * 4 + std::mem::size_of::<Vec<u32>>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -600,8 +581,21 @@ mod tests {
             ix.push_set(&members);
         }
         ix.compact();
+        // The reference layout, `Vec<Vec<u32>>`: one header per node
+        // plus a doubling buffer of capacity `max(4, len.next_power_of_two())`.
+        let legacy: usize = (0..2000u32)
+            .map(|v| {
+                let len = ix.postings(v).len();
+                let cap = if len == 0 {
+                    0
+                } else {
+                    len.next_power_of_two().max(4)
+                };
+                cap * 4 + std::mem::size_of::<Vec<u32>>()
+            })
+            .sum();
         let new = ix.postings_bytes() as f64;
-        let old = ix.legacy_postings_bytes() as f64;
+        let old = legacy as f64;
         assert!(
             new <= 0.75 * old,
             "arena {new} vs legacy {old}: reduction {:.1}% < 25%",

@@ -57,7 +57,7 @@
 //! warm-starts the dataset from the binary snapshot cache.
 
 use std::process::ExitCode;
-use tirm_server::{serve, serve_follower, wal, FollowerConfig, ServerConfig};
+use tirm_server::{serve, serve_follower, wal, DurabilityConfig, FollowerConfig, ServerConfig};
 use tirm_workloads::{Dataset, DatasetKind, ProbModel, ScaleConfig};
 
 fn usage(msg: &str) -> ExitCode {
@@ -159,6 +159,9 @@ fn main() -> ExitCode {
             },
             other => return usage(&format!("unknown argument {other:?}")),
         }
+    }
+    if state_dir.is_none() && (checkpoint_interval.is_some() || segment_events.is_some()) {
+        return usage("--checkpoint-interval and --segment-events need --state-dir");
     }
     let model = model.unwrap_or_else(|| ProbModel::canonical(dataset_kind));
     let cfg = ScaleConfig::from_env();
@@ -313,24 +316,26 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut builder = ServerConfig::builder()
-        .online(online)
-        .bind(bind)
-        .queue_depth(queue_depth)
-        .max_connections(max_connections);
-    if let Some(dir) = &state_dir {
-        builder = builder.state_dir(dir);
-    }
-    if let Some(n) = checkpoint_interval {
-        builder = builder.checkpoint_interval(n);
-    }
-    if let Some(n) = segment_events {
-        builder = builder.segment_events(n);
-    }
-    let server_cfg = match builder.build() {
-        Ok(cfg) => cfg,
-        Err(why) => return usage(&why),
+    let server_cfg = ServerConfig {
+        online,
+        bind,
+        queue_depth,
+        max_connections,
+        durability: state_dir.as_ref().map(|dir| {
+            let mut d = DurabilityConfig::new(dir);
+            if let Some(n) = checkpoint_interval {
+                d.checkpoint_interval = n;
+            }
+            if let Some(n) = segment_events {
+                d.segment_events = n;
+            }
+            d
+        }),
+        ..ServerConfig::default()
     };
+    if let Err(why) = server_cfg.validate() {
+        return usage(&why);
+    }
     // A promoted follower re-binds the port its own listener just
     // closed; lingering TIME_WAIT connections can hold it briefly, so
     // retry AddrInUse for a bounded window instead of dying mid

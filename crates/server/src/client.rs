@@ -24,8 +24,7 @@ pub struct HelloInfo {
     /// `wal_seq`-th mutation — everything before it survived.
     pub wal_seq: u64,
     /// Whether this endpoint admits mutations ([`Role::Leader`]) or
-    /// redirects them ([`Role::Follower`]). v1 servers announce no
-    /// role and decode as leaders.
+    /// redirects them ([`Role::Follower`]).
     pub role: Role,
     /// The fencing epoch the server serves under (0 until a promotion
     /// ever happened in its state dir's lineage).
@@ -79,7 +78,7 @@ impl Client {
 
     /// Connects per `opts`: bounded reconnect attempts with capped
     /// exponential backoff (for a server that is restarting), then the
-    /// optional `hello` handshake — version skew is a typed
+    /// `hello` handshake — version skew is a typed
     /// `InvalidData` error here, not a mid-stream decode failure later.
     pub fn connect_with(
         addr: impl ToSocketAddrs + Clone,
@@ -87,7 +86,7 @@ impl Client {
     ) -> io::Result<Client> {
         let mut attempt = 0;
         loop {
-            match Self::connect_once(addr.clone(), opts) {
+            match Self::connect_once(addr.clone()) {
                 Ok(client) => return Ok(client),
                 Err(e) => {
                     if attempt >= opts.reconnect_attempts {
@@ -100,42 +99,33 @@ impl Client {
         }
     }
 
-    fn connect_once(addr: impl ToSocketAddrs, opts: &ClientOptions) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        if opts.nodelay {
-            stream.set_nodelay(true)?;
-        }
-        let mut client = Client {
-            stream,
-            hello: None,
-        };
-        if opts.handshake {
-            match client.request(&Request::Hello {
-                version: PROTOCOL_VERSION,
-            })? {
-                Response::Hello {
+    fn connect_once(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let mut client = Self::connect(addr)?;
+        match client.request(&Request::Hello {
+            version: PROTOCOL_VERSION,
+        })? {
+            Response::Hello {
+                version,
+                epoch,
+                wal_seq,
+                role,
+                fencing_epoch,
+            } => {
+                if version != PROTOCOL_VERSION {
+                    return Err(protocol_err(format!(
+                        "protocol version skew: server speaks v{version}, \
+                         this client speaks v{PROTOCOL_VERSION}"
+                    )));
+                }
+                client.hello = Some(HelloInfo {
                     version,
                     epoch,
                     wal_seq,
                     role,
                     fencing_epoch,
-                } => {
-                    if version != PROTOCOL_VERSION {
-                        return Err(protocol_err(format!(
-                            "protocol version skew: server speaks v{version}, \
-                             this client speaks v{PROTOCOL_VERSION}"
-                        )));
-                    }
-                    client.hello = Some(HelloInfo {
-                        version,
-                        epoch,
-                        wal_seq,
-                        role,
-                        fencing_epoch,
-                    });
-                }
-                other => return Err(protocol_err(format!("expected hello, got {other:?}"))),
+                });
             }
+            other => return Err(protocol_err(format!("expected hello, got {other:?}"))),
         }
         Ok(client)
     }

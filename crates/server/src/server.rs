@@ -57,9 +57,9 @@ use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig, OnlineEvent
 use tirm_topics::TopicEdgeProbs;
 
 /// Durability knobs: where the write-ahead log and checkpoints live and
-/// how often state is checkpointed. Attached to a [`ServerConfig`] via
-/// [`ServerConfigBuilder::state_dir`]; a server without one serves from
-/// memory only (the pre-durability behavior).
+/// how often state is checkpointed. Attached to a [`ServerConfig`] as
+/// its `durability` field; a server without one serves from memory
+/// only.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Directory holding WAL segments and checkpoint files. Created on
@@ -86,9 +86,9 @@ impl DurabilityConfig {
     }
 }
 
-/// Configuration of a [`serve`] run. Construct via
-/// [`ServerConfig::builder`] (validated), struct literal update syntax
-/// off [`Default`], or field-by-field.
+/// Configuration of a [`serve`] run: a struct literal, usually with
+/// update syntax off [`Default`]. [`serve`] checks it with
+/// [`validate`](ServerConfig::validate) before binding.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Allocator configuration (TIRM options, κ, λ, pool budget).
@@ -128,120 +128,21 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// A validated, fluent way to assemble a config — the mirror of the
-    /// client-side [`crate::protocol::ClientOptions`].
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            cfg: ServerConfig::default(),
-        }
-    }
-}
-
-/// Fluent constructor for [`ServerConfig`]; [`build`](Self::build)
-/// rejects nonsensical values with a typed error instead of letting
-/// [`serve`] panic mid-startup.
-#[derive(Clone, Debug)]
-pub struct ServerConfigBuilder {
-    cfg: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Allocator configuration (TIRM options, κ, λ, pool budget).
-    pub fn online(mut self, online: OnlineConfig) -> Self {
-        self.cfg.online = online;
-        self
-    }
-
-    /// Bind address (`127.0.0.1:0` picks an ephemeral port).
-    pub fn bind(mut self, bind: impl Into<String>) -> Self {
-        self.cfg.bind = bind.into();
-        self
-    }
-
-    /// Write-queue admission bound (mutations beyond it shed).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.queue_depth = depth;
-        self
-    }
-
-    /// Connection admission bound.
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.cfg.max_connections = n;
-        self
-    }
-
-    /// Handler read-poll interval (shutdown latency on idle sockets).
-    pub fn read_poll(mut self, interval: Duration) -> Self {
-        self.cfg.read_poll = interval;
-        self
-    }
-
-    /// Enables durability: WAL + checkpoints under `dir` with the
-    /// default cadence (tune with
-    /// [`checkpoint_interval`](Self::checkpoint_interval) /
-    /// [`segment_events`](Self::segment_events) after this).
-    pub fn state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        let interval = self.cfg.durability.as_ref().map(|d| d.checkpoint_interval);
-        let segment = self.cfg.durability.as_ref().map(|d| d.segment_events);
-        let mut d = DurabilityConfig::new(dir);
-        if let Some(i) = interval {
-            d.checkpoint_interval = i;
-        }
-        if let Some(s) = segment {
-            d.segment_events = s;
-        }
-        self.cfg.durability = Some(d);
-        self
-    }
-
-    /// Applied mutations between checkpoints (requires
-    /// [`state_dir`](Self::state_dir), in either order).
-    pub fn checkpoint_interval(mut self, events: u64) -> Self {
-        match &mut self.cfg.durability {
-            Some(d) => d.checkpoint_interval = events,
-            None => {
-                let mut d = DurabilityConfig::new("");
-                d.checkpoint_interval = events;
-                self.cfg.durability = Some(d);
-            }
-        }
-        self
-    }
-
-    /// Frames per WAL segment (requires [`state_dir`](Self::state_dir),
-    /// in either order).
-    pub fn segment_events(mut self, frames: u64) -> Self {
-        match &mut self.cfg.durability {
-            Some(d) => d.segment_events = frames,
-            None => {
-                let mut d = DurabilityConfig::new("");
-                d.segment_events = frames;
-                self.cfg.durability = Some(d);
-            }
-        }
-        self
-    }
-
-    /// Validates and returns the config. `Err` names the first bad
-    /// field.
-    pub fn build(self) -> Result<ServerConfig, String> {
-        let cfg = self.cfg;
-        if cfg.queue_depth < 1 {
+    /// Rejects nonsensical values before [`serve`] starts anything.
+    /// `Err` names the first bad field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.queue_depth < 1 {
             return Err("queue_depth must be >= 1 (the queue must admit something)".into());
         }
-        if cfg.max_connections < 1 {
+        if self.max_connections < 1 {
             return Err("max_connections must be >= 1".into());
         }
-        if cfg.read_poll.is_zero() {
+        if self.read_poll.is_zero() {
             return Err("read_poll must be non-zero (it paces shutdown checks)".into());
         }
-        if let Some(d) = &cfg.durability {
+        if let Some(d) = &self.durability {
             if d.state_dir.as_os_str().is_empty() {
-                return Err(
-                    "durability needs a state_dir (checkpoint_interval/segment_events \
-                     were set without one)"
-                        .into(),
-                );
+                return Err("durability needs a non-empty state_dir".into());
             }
             if d.checkpoint_interval < 1 {
                 return Err("checkpoint_interval must be >= 1 event".into());
@@ -250,7 +151,7 @@ impl ServerConfigBuilder {
                 return Err("segment_events must be >= 1 frame".into());
             }
         }
-        Ok(cfg)
+        Ok(())
     }
 }
 
@@ -463,7 +364,9 @@ impl ServeReport {
 /// Runs a server over `graph`/`topic_probs`, calls `f` with its
 /// [`ServerHandle`] once the listener is live, and performs the
 /// drain-then-close shutdown when `f` returns. Returns `f`'s result and
-/// the [`ServeReport`] with the final (fully drained) snapshot.
+/// the [`ServeReport`] with the final (fully drained) snapshot. A
+/// config that fails [`ServerConfig::validate`] is an
+/// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error.
 ///
 /// The allocator borrows the graph, so the whole server runs inside a
 /// `std::thread::scope` — no `'static` bounds, no graph cloning; the
@@ -474,8 +377,8 @@ pub fn serve<R>(
     cfg: ServerConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> std::io::Result<(R, ServeReport)> {
-    assert!(cfg.queue_depth >= 1, "queue_depth must admit something");
-    assert!(cfg.max_connections >= 1, "need at least one connection");
+    cfg.validate()
+        .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
     let listener = TcpListener::bind(&cfg.bind)?;
     let addr = listener.local_addr()?;
 
@@ -907,10 +810,17 @@ pub(crate) fn handle_connection(
                 shared.bad_requests.fetch_add(1, Ordering::Relaxed);
                 Response::Rejected { why }
             }
-            Ok(Request::Hello { version: _ }) => {
-                // Echo our version and the recovery anchors; version
-                // skew is the *client's* typed error (it knows what it
-                // can speak), the server answers any hello it decodes.
+            Ok(Request::Hello { version }) if version != PROTOCOL_VERSION => {
+                shared.bad_requests.fetch_add(1, Ordering::Relaxed);
+                Response::Rejected {
+                    why: format!(
+                        "protocol version skew: client speaks v{version}, \
+                         this server speaks v{PROTOCOL_VERSION}"
+                    ),
+                }
+            }
+            Ok(Request::Hello { .. }) => {
+                // Echo our version and the recovery anchors.
                 Response::Hello {
                     version: PROTOCOL_VERSION,
                     epoch: reader.latest().epoch,
@@ -1229,57 +1139,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_match_default_and_validate() {
-        let built = ServerConfig::builder().build().unwrap();
-        let default = ServerConfig::default();
-        assert_eq!(built.bind, default.bind);
-        assert_eq!(built.queue_depth, default.queue_depth);
-        assert_eq!(built.max_connections, default.max_connections);
-        assert_eq!(built.read_poll, default.read_poll);
-        assert!(built.durability.is_none());
+    fn validate_rejects_nonsense_with_the_offending_field_named() {
+        assert_eq!(ServerConfig::default().validate(), Ok(()));
+        let durable = |dir: &str, interval: u64, segment: u64| ServerConfig {
+            durability: Some(DurabilityConfig {
+                state_dir: PathBuf::from(dir),
+                checkpoint_interval: interval,
+                segment_events: segment,
+            }),
+            ..ServerConfig::default()
+        };
+        assert_eq!(durable("/tmp/x", 16, 64).validate(), Ok(()));
+        let cases = [
+            (
+                ServerConfig {
+                    queue_depth: 0,
+                    ..ServerConfig::default()
+                },
+                "queue_depth",
+            ),
+            (
+                ServerConfig {
+                    max_connections: 0,
+                    ..ServerConfig::default()
+                },
+                "max_connections",
+            ),
+            (
+                ServerConfig {
+                    read_poll: Duration::ZERO,
+                    ..ServerConfig::default()
+                },
+                "read_poll",
+            ),
+            (durable("", 8, 64), "state_dir"),
+            (durable("/tmp/x", 0, 64), "checkpoint_interval"),
+            (durable("/tmp/x", 8, 0), "segment_events"),
+        ];
+        for (cfg, field) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]
-    fn builder_assembles_durability_in_any_field_order() {
-        let cfg = ServerConfig::builder()
-            .checkpoint_interval(16)
-            .segment_events(64)
-            .state_dir("/tmp/tirm-state")
-            .queue_depth(8)
-            .build()
-            .unwrap();
-        let d = cfg.durability.unwrap();
-        assert_eq!(d.state_dir, PathBuf::from("/tmp/tirm-state"));
-        assert_eq!(d.checkpoint_interval, 16);
-        assert_eq!(d.segment_events, 64);
-        assert_eq!(cfg.queue_depth, 8);
-    }
-
-    #[test]
-    fn builder_rejects_nonsense_with_the_offending_field_named() {
-        let err = ServerConfig::builder().queue_depth(0).build().unwrap_err();
-        assert!(err.contains("queue_depth"), "{err}");
-        let err = ServerConfig::builder()
-            .checkpoint_interval(8)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("state_dir"), "{err}");
-        let err = ServerConfig::builder()
-            .state_dir("/tmp/x")
-            .checkpoint_interval(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("checkpoint_interval"), "{err}");
-        let err = ServerConfig::builder()
-            .state_dir("/tmp/x")
-            .segment_events(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("segment_events"), "{err}");
-        let err = ServerConfig::builder()
-            .read_poll(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("read_poll"), "{err}");
+    fn serve_rejects_an_invalid_config_as_invalid_input() {
+        let graph = tirm_graph::GraphBuilder::new(1).build();
+        let probs = TopicEdgeProbs::new(0, 1);
+        let cfg = ServerConfig {
+            queue_depth: 0,
+            ..ServerConfig::default()
+        };
+        let err = serve(&graph, &probs, cfg, |_| ()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("queue_depth"), "{err}");
     }
 }

@@ -19,7 +19,7 @@ use tirm_obs::flight::{self, Stage};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::protocol::{read_frame, write_frame};
 use tirm_server::wal::{recover, write_checkpoint, RecoveryWarning, Wal};
-use tirm_server::{serve, Client, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, DurabilityConfig, Request, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 /// Every test here logs WAL frames, which feeds the process-global
@@ -181,15 +181,15 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     let split = 6;
     let dir = fresh_dir("server_restart");
 
-    let server_cfg = || {
-        ServerConfig::builder()
-            .online(config(7))
-            .queue_depth(16)
-            .checkpoint_interval(3)
-            .segment_events(4)
-            .state_dir(&dir)
-            .build()
-            .unwrap()
+    let server_cfg = || ServerConfig {
+        online: config(7),
+        queue_depth: 16,
+        durability: Some(DurabilityConfig {
+            state_dir: dir.clone(),
+            checkpoint_interval: 3,
+            segment_events: 4,
+        }),
+        ..ServerConfig::default()
     };
 
     // First life: the log's head.
@@ -278,12 +278,12 @@ fn backlogged_writer_group_commits_and_matches_in_process_replay() {
         let _ = oracle.process(ev);
     }
 
-    let server_cfg = ServerConfig::builder()
-        .online(config(7))
-        .queue_depth(16)
-        .state_dir(&dir)
-        .build()
-        .unwrap();
+    let server_cfg = ServerConfig {
+        online: config(7),
+        queue_depth: 16,
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
     let batches_before = tirm_obs::registry::WAL_BATCH_EVENTS.snapshot();
     let since_ns = flight::now_ns();
     let ((), report) = serve(&graph, &probs, server_cfg, |handle| {

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, Request, Response, ServerConfig, PROTOCOL_VERSION};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -75,8 +75,8 @@ fn overload_sheds_and_drain_applies_exactly_the_admitted_subsequence() {
     assert_eq!(report.shed, sheds);
     assert_eq!(report.accepted as usize, admitted.len());
     assert!(
-        report.max_queue_depth <= 1 + 1,
-        "queue depth bounded by depth + one in-flight, got {}",
+        report.max_queue_depth <= 1,
+        "queue depth bounded by queue_depth exactly, got {}",
         report.max_queue_depth
     );
 
@@ -218,7 +218,8 @@ fn readers_never_block_on_the_writer() {
     assert_eq!(report.connections as usize, READERS + 1);
 }
 
-/// Protocol errors are answered (typed `rejected`), not dropped, and
+/// Protocol errors and version-skewed `hello`s are answered (typed
+/// `rejected`), not dropped, and
 /// the connection admission bound refuses extra connections with one
 /// `overloaded` frame.
 #[test]
@@ -238,6 +239,21 @@ fn bad_requests_and_connection_admission() {
         }
         let resp = client.send_raw_frame(b"not json at all").unwrap();
         assert!(matches!(resp, Response::Rejected { .. }), "{resp:?}");
+        // A hello at any other protocol version is rejected, naming
+        // both versions; the current one is answered.
+        match client.request(&Request::Hello { version: 3 }).unwrap() {
+            Response::Rejected { why } => {
+                let ours = format!("v{PROTOCOL_VERSION}");
+                assert!(why.contains("v3") && why.contains(&ours), "{why}")
+            }
+            other => panic!("stale hello answered: {other:?}"),
+        }
+        match client.request(&Request::Hello {
+            version: PROTOCOL_VERSION,
+        }) {
+            Ok(Response::Hello { version, .. }) => assert_eq!(version, PROTOCOL_VERSION),
+            other => panic!("{other:?}"),
+        }
 
         // Second connection (the first is still open): refused.
         let mut second = Client::connect(handle.addr()).unwrap();
@@ -248,7 +264,7 @@ fn bad_requests_and_connection_admission() {
         }
     })
     .unwrap();
-    assert_eq!(report.bad_requests, 1);
+    assert_eq!(report.bad_requests, 2);
     assert!(report.connections_refused >= 1);
 }
 
