@@ -197,6 +197,14 @@ fn splitmix64(mut z: u64) -> u64 {
 /// run with the same `(AdSeeds, threads)` resumes from this state and is
 /// bit-identical to a cold run, paying graph walks only for sets beyond
 /// the cached tail.
+///
+/// Next to that capital the state caches what a run would otherwise
+/// recompute from it: the KPT estimate memo (inside the KPT state), the
+/// ad's [`FastPath`] and the lazy heap built from the θ₀ scores. Each is
+/// a pure function of the ad's projected probabilities and its capital,
+/// so a run that finds one missing rebuilds it and selects the same bits.
+/// Checkpoints ([`Self::export_parts`]) and the online retained pool
+/// ([`Self::drop_caches`]) leave them out.
 pub struct AdWarmState {
     index: RrIndex,
     engine: ParallelSampler,
@@ -204,6 +212,11 @@ pub struct AdWarmState {
     /// `(θ₀, scores)` right after the initial activation, before any decay
     /// (scores are exact integers there, so restoring is bitwise-safe).
     base: Option<(usize, Vec<f64>)>,
+    /// Cached fast sampling route of the ad (its O(m) threshold gather).
+    fast: Option<FastPath>,
+    /// Cached heap built from `base`'s scores; only ever `Some` together
+    /// with `base`, and replaced whenever `base` is.
+    base_heap: Option<LazyMaxHeap>,
     /// Configuration echo, asserted on reuse.
     seeds: AdSeeds,
     threads: usize,
@@ -215,9 +228,14 @@ impl AdWarmState {
         self.index.num_sets()
     }
 
-    /// Exact bytes of reusable capital — index, θ-engine workspaces, KPT
-    /// width cache + estimation workspaces, and the base score snapshot —
-    /// the online pool's eviction currency.
+    /// Exact bytes held — index, θ-engine workspaces, KPT width cache +
+    /// estimation workspaces + estimate memo, the base score snapshot,
+    /// and, while cached, the fast path's threshold table and the θ₀
+    /// heap. The mark layout a cached fast path shares with the other
+    /// ads is not counted: there is one per graph, not one per ad. The
+    /// online pool prices a departed ad's shard in these bytes after
+    /// [`Self::drop_caches`], so the caches never count against its
+    /// budget.
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes()
             + self.engine.memory_bytes()
@@ -227,6 +245,21 @@ impl AdWarmState {
                 .as_ref()
                 .map(|(_, s)| s.capacity() * 8)
                 .unwrap_or(0)
+            + self.fast.as_ref().map(FastPath::memory_bytes).unwrap_or(0)
+            + self
+                .base_heap
+                .as_ref()
+                .map(LazyMaxHeap::memory_bytes)
+                .unwrap_or(0)
+    }
+
+    /// Drops the recomputable caches — KPT memo, fast path, θ₀ heap —
+    /// leaving exactly the capital a checkpoint carries. The next run
+    /// rebuilds them and is bit-identical either way.
+    pub fn drop_caches(&mut self) {
+        self.kpt.clear_memo();
+        self.fast = None;
+        self.base_heap = None;
     }
 
     /// The seed plan this state was built under.
@@ -258,7 +291,8 @@ impl AdWarmState {
     }
 
     /// Rebuilds warm capital from checkpointed parts under the owner's
-    /// seed plan and thread count. Everything is re-validated: index
+    /// seed plan and thread count, with every cache empty (the next run
+    /// rebuilds them). Everything is re-validated: index
     /// invariants, RNG shard counts, and that the captured engine streams
     /// actually belong to `(seeds, threads)` — a checkpoint restored into
     /// a differently-configured allocator errors instead of silently
@@ -300,6 +334,8 @@ impl AdWarmState {
             engine,
             kpt,
             base: parts.base,
+            fast: None,
+            base_heap: None,
             seeds,
             threads,
         })
@@ -349,6 +385,8 @@ struct AdState<'a> {
     engine: ParallelSampler,
     /// Base snapshot carried through for the warm-state hand-back.
     base: Option<(usize, Vec<f64>)>,
+    /// Pristine heap over `base`'s scores, carried the same way.
+    base_heap: Option<LazyMaxHeap>,
     ad_seeds: AdSeeds,
     /// Current seed-count estimate `s_i`.
     s_est: usize,
@@ -425,8 +463,8 @@ pub fn tirm_allocate_warm(
 }
 
 /// Shared driver behind the three entry points. `want_warm` gates the
-/// θ₀-score base snapshot (an O(n) copy per ad that only pays off when
-/// the caller keeps the warm states).
+/// θ₀-score base snapshot and its heap (O(n) copies per ad that only pay
+/// off when the caller keeps the warm states).
 fn tirm_run(
     problem: &ProblemInstance<'_>,
     opts: TirmOptions,
@@ -450,33 +488,43 @@ fn tirm_run(
     // One mark layout for the whole run (same graph for every ad); the
     // per-ad FastPaths share it. Building the degree ordering is
     // O(n log n + m) once — noise against the sampling volume.
-    let layout = Arc::new(if opts.relabel.enabled_for(n) {
+    let relabel = opts.relabel.enabled_for(n);
+    let layout = Arc::new(if relabel {
         tirm_obs::registry::RELABEL_SCALE_AWARE.inc();
         SamplingLayout::degree_ordered(problem.graph)
     } else {
         tirm_obs::registry::RELABEL_IDENTITY.inc();
         SamplingLayout::identity()
     });
+    let mut fast_paths_built = 0usize;
 
     // Initialise per-ad state: s_i = 1, θ_i = L(1, ε), sample (or
     // re-activate the cached prefix), build heap (Algorithm 2, lines 1–3).
     let mut states: Vec<AdState<'_>> = Vec::with_capacity(h);
     for (i, slot) in warm.into_iter().enumerate() {
         let sampler = RrSampler::new(problem.graph, &problem.edge_probs[i]);
-        let fast = FastPath::new(layout.clone(), problem.graph, &problem.edge_probs[i]);
         let seeds = ad_seeds[i];
-        let (kpt, engine, index, base) = match slot {
+        let (kpt, engine, index, base, fast, base_heap) = match slot {
             Some(w) => {
                 assert_eq!(w.seeds, seeds, "warm state belongs to another seed plan");
                 assert_eq!(
                     w.threads, opts.threads,
                     "warm state from another thread count"
                 );
+                if let Some(f) = &w.fast {
+                    assert_eq!(
+                        f.layout().is_relabeled(),
+                        relabel,
+                        "warm state from another relabel policy"
+                    );
+                }
                 (
                     KptEstimator::from_state(sampler, opts.ell, w.kpt),
                     w.engine,
                     w.index,
                     w.base,
+                    w.fast,
+                    w.base_heap,
                 )
             }
             None => (
@@ -488,8 +536,14 @@ fn tirm_run(
                 ParallelSampler::new(SamplingConfig::new(opts.threads, seeds.engine), n),
                 RrIndex::new(n),
                 None,
+                None,
+                None,
             ),
         };
+        let fast = fast.unwrap_or_else(|| {
+            fast_paths_built += 1;
+            FastPath::new(layout.clone(), problem.graph, &problem.edge_probs[i])
+        });
         let mut st = AdState {
             sampler,
             fast,
@@ -498,6 +552,7 @@ fn tirm_run(
             kpt,
             engine,
             base,
+            base_heap,
             ad_seeds: seeds,
             s_est: 1,
             seeds: Vec::new(),
@@ -509,17 +564,32 @@ fn tirm_run(
         let kpt1 = st.kpt.estimate_with(1, Some(&st.fast));
         let (theta, capped) = bound.theta(1, kpt1);
         st.capped = capped;
-        match &st.base {
+        let restored = match &st.base {
             // O(n) shortcut past the O(entries) activation walk: the
             // pristine θ₀ scores are integers, so restoring them is
             // bit-identical to re-activating set by set.
-            Some((t0, scores)) if *t0 == theta => st.coll.restore_prefix(theta, scores),
-            _ => {
-                st.ensure_theta(theta, &mut oracle_calls);
-                st.base = want_warm.then(|| (theta, st.coll.scores().to_vec()));
+            Some((t0, scores)) if *t0 == theta => {
+                st.coll.restore_prefix(theta, scores);
+                true
+            }
+            _ => false,
+        };
+        if !restored {
+            st.ensure_theta(theta, &mut oracle_calls);
+            st.base = want_warm.then(|| (theta, st.coll.scores().to_vec()));
+            st.base_heap = None;
+        }
+        // The heap over the θ₀ scores is a function of those scores
+        // alone, so a cached copy is the heap `rebuild_heap` would build.
+        match &st.base_heap {
+            Some(pristine) => st.heap = pristine.clone(),
+            None => {
+                rebuild_heap(&mut st);
+                if st.base.is_some() {
+                    st.base_heap = Some(st.heap.clone());
+                }
             }
         }
-        rebuild_heap(&mut st);
         states.push(st);
     }
 
@@ -603,7 +673,13 @@ fn tirm_run(
         oracle_calls,
         postings_bytes: states.iter().map(|s| s.coll.postings_bytes()).sum(),
         postings_entries: states.iter().map(|s| s.coll.total_entries()).sum(),
+        kpt_estimates_computed: states.iter().map(|s| s.kpt.estimates_computed()).sum(),
+        kpt_estimates_reused: states.iter().map(|s| s.kpt.estimates_reused()).sum(),
+        fast_paths_built,
     };
+    tirm_obs::registry::KPT_ESTIMATES_COMPUTED.add(stats.kpt_estimates_computed as u64);
+    tirm_obs::registry::KPT_ESTIMATES_REUSED.add(stats.kpt_estimates_reused as u64);
+    tirm_obs::registry::FAST_PATHS_BUILT.add(fast_paths_built as u64);
     let warm_out = states
         .into_iter()
         .map(|st| AdWarmState {
@@ -611,6 +687,8 @@ fn tirm_run(
             engine: st.engine,
             kpt: st.kpt.into_state(),
             base: st.base,
+            fast: Some(st.fast),
+            base_heap: st.base_heap,
             seeds: st.ad_seeds,
             threads: opts.threads,
         })
@@ -750,7 +828,9 @@ fn grow_and_resample(
     if growth == 0 {
         return;
     }
-    st.s_est += growth;
+    // Saturating: a huge budget over a tiny marginal can ask for more
+    // seeds than `usize` holds.
+    st.s_est = st.s_est.saturating_add(growth);
 
     // θ_i ← max(L(s_i, ε), θ_i) (line 16) with the TIM+-style OPT lower
     // bound: the larger of KPT(s_i) and the (1−ε)-discounted CTP-free
@@ -1083,11 +1163,15 @@ mod tests {
             tirm_allocate_warm(&p, opts(7), &plan, vec![None, None, None]);
         let cached: Vec<usize> = warm.iter().map(|w| w.num_sets()).collect();
         assert!(warm.iter().all(|w| w.memory_bytes() > 0));
+        assert_eq!(cold_stats.fast_paths_built, h);
+        assert!(cold_stats.kpt_estimates_computed >= h, "KPT(1) per ad");
 
         // Re-running on the warm capital must reproduce the allocation
-        // bit for bit without drawing a single fresh RR set.
+        // bit for bit without drawing a single fresh RR set — and, with
+        // the population unchanged, without recomputing a single KPT
+        // estimate or fast path.
         let p2 = mk();
-        let (hot, hot_stats, warm2) =
+        let (hot, hot_stats, mut warm2) =
             tirm_allocate_warm(&p2, opts(7), &plan, warm.into_iter().map(Some).collect());
         for i in 0..h {
             assert_eq!(cold.seeds(i), hot.seeds(i), "ad {i}");
@@ -1095,12 +1179,139 @@ mod tests {
         assert_eq!(cold_stats.estimated_revenue, hot_stats.estimated_revenue);
         let cached2: Vec<usize> = warm2.iter().map(|w| w.num_sets()).collect();
         assert_eq!(cached, cached2, "warm rerun must not sample");
+        assert_eq!(hot_stats.kpt_estimates_computed, 0);
+        assert_eq!(
+            hot_stats.kpt_estimates_reused,
+            cold_stats.kpt_estimates_computed + cold_stats.kpt_estimates_reused
+        );
+        assert_eq!(hot_stats.fast_paths_built, 0);
 
         // And the warm result equals the plain seeded batch run.
         let (batch, _) = tirm_allocate_seeded(&mk(), opts(7), &plan);
         for i in 0..h {
             assert_eq!(batch.seeds(i), hot.seeds(i));
         }
+
+        // Warm states that lost their caches rerun bit-identically to
+        // ones that kept them, and rebuild them. Both ways of losing
+        // them: a checkpoint round trip, and the retained pool's
+        // `drop_caches` on release.
+        let revenue_bits = |st: &AlgoStats| -> Vec<u64> {
+            st.estimated_revenue.iter().map(|r| r.to_bits()).collect()
+        };
+        let live_bytes: Vec<usize> = warm2.iter().map(|w| w.memory_bytes()).collect();
+        let restored: Vec<Option<AdWarmState>> = warm2
+            .iter_mut()
+            .zip(&plan)
+            .map(|(w, &seeds)| Some(AdWarmState::from_parts(w.export_parts(), seeds, 1).unwrap()))
+            .collect();
+        let mut stripped: Vec<Option<AdWarmState>> = Vec::new();
+        for (w, bytes) in warm2.into_iter().zip(live_bytes) {
+            let mut w = w;
+            w.drop_caches();
+            assert!(w.memory_bytes() < bytes, "caches are counted while live");
+            stripped.push(Some(w));
+        }
+        for lost in [restored, stripped] {
+            let (again, again_stats, warm3) = tirm_allocate_warm(&mk(), opts(7), &plan, lost);
+            for i in 0..h {
+                assert_eq!(again.seeds(i), hot.seeds(i), "ad {i}");
+            }
+            assert_eq!(revenue_bits(&again_stats), revenue_bits(&hot_stats));
+            let cached3: Vec<usize> = warm3.iter().map(|w| w.num_sets()).collect();
+            assert_eq!(cached3, cached);
+            assert_eq!(again_stats.fast_paths_built, h);
+            assert_eq!(
+                again_stats.kpt_estimates_computed,
+                cold_stats.kpt_estimates_computed
+            );
+        }
+    }
+
+    #[test]
+    fn warm_state_under_another_theta_rebuilds_its_base_and_heap() {
+        // A different θ cap moves θ₀, so the cached base snapshot and
+        // the heap built from it no longer apply: the run must replace
+        // both and still match the cold batch run under the new cap.
+        let g = generators::preferential_attachment(300, 3, 0.2, 4);
+        let h = 2;
+        let mk = || {
+            let ads = (0..h)
+                .map(|i| Advertiser::new(8.0 + i as f64, 1.0, TopicDist::single(1, 0)))
+                .collect::<Vec<_>>();
+            let probs = vec![vec![0.08f32; g.num_edges()]; h];
+            let ctp = CtpTable::constant(300, h, 0.4);
+            ProblemInstance::new(&g, ads, probs, ctp, Attention::Uniform(2), 0.0)
+        };
+        let plan: Vec<AdSeeds> = (0..h).map(|i| AdSeeds::for_ad_id(3, i as u64)).collect();
+        let small = TirmOptions {
+            max_theta_per_ad: Some(5_000),
+            ..opts(3)
+        };
+        let (_, _, warm) = tirm_allocate_warm(&mk(), small, &plan, vec![None, None]);
+        let other = TirmOptions {
+            max_theta_per_ad: Some(8_000),
+            ..opts(3)
+        };
+        let (hot, hot_stats, _) =
+            tirm_allocate_warm(&mk(), other, &plan, warm.into_iter().map(Some).collect());
+        let (batch, batch_stats) = tirm_allocate_seeded(&mk(), other, &plan);
+        for i in 0..h {
+            assert_eq!(hot.seeds(i), batch.seeds(i), "ad {i}");
+        }
+        assert_eq!(hot_stats.estimated_revenue, batch_stats.estimated_revenue);
+    }
+
+    /// A small relabeled problem for the relabel-policy warm tests.
+    fn relabel_case(relabel: RelabelMode) -> (TirmOptions, Vec<AdSeeds>) {
+        let plan = (0..2).map(|i| AdSeeds::for_ad_id(5, i as u64)).collect();
+        let o = TirmOptions { relabel, ..opts(5) };
+        (o, plan)
+    }
+
+    fn relabel_problem(g: &tirm_graph::DiGraph) -> ProblemInstance<'_> {
+        let ads = (0..2)
+            .map(|i| Advertiser::new(6.0 + i as f64, 1.0, TopicDist::single(1, 0)))
+            .collect::<Vec<_>>();
+        let probs = vec![vec![0.1f32; g.num_edges()]; 2];
+        let ctp = CtpTable::constant(g.num_nodes(), 2, 0.4);
+        ProblemInstance::new(g, ads, probs, ctp, Attention::Uniform(2), 0.0)
+    }
+
+    #[test]
+    fn relabeled_warm_rerun_reuses_its_fast_paths_bit_identically() {
+        let g = generators::preferential_attachment(300, 3, 0.2, 6);
+        let (on, plan) = relabel_case(RelabelMode::On);
+        let (_, _, warm) = tirm_allocate_warm(&relabel_problem(&g), on, &plan, vec![None, None]);
+        let (hot, hot_stats, _) = tirm_allocate_warm(
+            &relabel_problem(&g),
+            on,
+            &plan,
+            warm.into_iter().map(Some).collect(),
+        );
+        assert_eq!(hot_stats.fast_paths_built, 0);
+        // Relabeling is pure speed: the identity-layout batch run agrees.
+        let (off, _) = relabel_case(RelabelMode::Off);
+        let (batch, batch_stats) = tirm_allocate_seeded(&relabel_problem(&g), off, &plan);
+        for i in 0..2 {
+            assert_eq!(hot.seeds(i), batch.seeds(i), "ad {i}");
+        }
+        assert_eq!(hot_stats.estimated_revenue, batch_stats.estimated_revenue);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm state from another relabel policy")]
+    fn warm_state_from_another_relabel_policy_is_rejected() {
+        let g = generators::preferential_attachment(300, 3, 0.2, 6);
+        let (on, plan) = relabel_case(RelabelMode::On);
+        let (_, _, warm) = tirm_allocate_warm(&relabel_problem(&g), on, &plan, vec![None, None]);
+        let (off, _) = relabel_case(RelabelMode::Off);
+        tirm_allocate_warm(
+            &relabel_problem(&g),
+            off,
+            &plan,
+            warm.into_iter().map(Some).collect(),
+        );
     }
 
     #[test]

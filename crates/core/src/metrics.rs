@@ -30,6 +30,14 @@ pub struct AlgoStats {
     /// Total inverted-posting entries across ads (TIRM only). Dividing
     /// [`Self::postings_bytes`] by this gives bytes-per-posting.
     pub postings_entries: usize,
+    /// KPT estimates folded from cached widths (memo misses) — TIRM only.
+    /// Zero on a warm rerun whose ads ask for no new seed count `s`.
+    pub kpt_estimates_computed: usize,
+    /// KPT estimates answered from the per-ad memo — TIRM only.
+    pub kpt_estimates_reused: usize,
+    /// Per-ad fast sampling routes (O(m) threshold gathers) built —
+    /// TIRM only. Zero on a warm rerun whose ads all carry one.
+    pub fast_paths_built: usize,
 }
 
 fn ser_duration<S: serde::Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {

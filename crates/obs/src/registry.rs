@@ -24,6 +24,12 @@ pub static RR_ARENA_BYTES: Gauge = Gauge::new();
 pub static RELABEL_SCALE_AWARE: Counter = Counter::new();
 /// Per-run relabel decisions that kept the identity layout.
 pub static RELABEL_IDENTITY: Counter = Counter::new();
+/// KPT estimates folded from cached widths (memo misses) by TIRM runs.
+pub static KPT_ESTIMATES_COMPUTED: Counter = Counter::new();
+/// KPT estimates TIRM runs answered from the per-ad memo.
+pub static KPT_ESTIMATES_REUSED: Counter = Counter::new();
+/// Per-ad fast sampling routes (threshold gathers) TIRM runs built.
+pub static FAST_PATHS_BUILT: Counter = Counter::new();
 
 // ---------------------------------------------------------------------
 // Online allocator (tirm_online).
@@ -129,6 +135,21 @@ pub static COUNTERS: &[(&str, &str, &Counter)] = &[
         "tirm_rrset_relabel_identity_total",
         "Sampler runs that kept the identity vertex layout",
         &RELABEL_IDENTITY,
+    ),
+    (
+        "tirm_rrset_kpt_estimates_computed_total",
+        "KPT estimates folded from cached widths (memo misses)",
+        &KPT_ESTIMATES_COMPUTED,
+    ),
+    (
+        "tirm_rrset_kpt_estimates_reused_total",
+        "KPT estimates answered from the per-ad memo",
+        &KPT_ESTIMATES_REUSED,
+    ),
+    (
+        "tirm_rrset_fast_paths_built_total",
+        "Per-ad fast sampling routes built by TIRM runs",
+        &FAST_PATHS_BUILT,
     ),
     (
         "tirm_online_delta_reconciliations_total",

@@ -65,12 +65,15 @@ impl RetainedPool {
 
     /// Releases a departed ad's shard into the pool, then trims to the
     /// byte budget (which may evict the shard just released). A shard
-    /// already pooled under the same id is replaced.
-    pub fn release(&mut self, id: AdId, topics: TopicDist, state: AdWarmState) {
+    /// already pooled under the same id is replaced. The shard's
+    /// recomputable caches are dropped first, so the pool holds and
+    /// prices sampling capital only; a reclaiming run rebuilds them.
+    pub fn release(&mut self, id: AdId, topics: TopicDist, mut state: AdWarmState) {
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             let old = self.entries.remove(pos);
             self.total_bytes -= old.bytes;
         }
+        state.drop_caches();
         let bytes = state.memory_bytes();
         self.total_bytes += bytes;
         self.entries.push(Retained {
@@ -124,8 +127,17 @@ mod tests {
     use tirm_topics::CtpTable;
 
     /// A real warm state (the pool stores opaque capital; tests need a
-    /// genuine one to exercise byte accounting).
+    /// genuine one to exercise byte accounting), with its caches already
+    /// dropped so its `memory_bytes` are exactly what `release` prices.
     fn warm_state(seed_id: u64) -> AdWarmState {
+        let mut w = warm_run(seed_id, None).1;
+        w.drop_caches();
+        w
+    }
+
+    /// One warm TIRM run of a single star-graph ad: its regret-relevant
+    /// outputs (seeds, revenue-estimate bits) and the warm state after.
+    fn warm_run(seed_id: u64, warm: Option<AdWarmState>) -> ((Vec<u32>, u64), AdWarmState) {
         let g = generators::star(40);
         let ads = vec![Advertiser::new(5.0, 1.0, TopicDist::single(1, 0))];
         let probs = vec![vec![0.2f32; g.num_edges()]];
@@ -136,8 +148,33 @@ mod tests {
             ..TirmOptions::default()
         };
         let plan = [AdSeeds::for_ad_id(1, seed_id)];
-        let (_, _, mut warm) = tirm_allocate_warm(&p, opts, &plan, vec![None]);
-        warm.pop().unwrap()
+        let (alloc, stats, mut warm) = tirm_allocate_warm(&p, opts, &plan, vec![warm]);
+        let out = (
+            alloc.seeds(0).to_vec(),
+            stats.estimated_revenue[0].to_bits(),
+        );
+        (out, warm.pop().unwrap())
+    }
+
+    #[test]
+    fn release_prices_capital_only_and_reclaim_reruns_bit_identically() {
+        // Two identical live states, caches included.
+        let (cold, live) = warm_run(1, None);
+        let (_, twin) = warm_run(1, None);
+        let live_bytes = live.memory_bytes();
+        let topics = TopicDist::single(1, 0);
+        let mut pool = RetainedPool::new(usize::MAX);
+        pool.release(1, topics.clone(), live);
+        let pooled = pool.memory_bytes();
+        assert!(pooled < live_bytes, "the pool strips the caches");
+        let back = pool.reclaim(1, &topics).unwrap();
+        assert_eq!(back.memory_bytes(), pooled, "pool prices what it holds");
+        // The reclaimed (cache-less) state and the twin that kept its
+        // caches rerun to the same bits as the cold run.
+        let (from_pool, _) = warm_run(1, Some(back));
+        let (from_twin, _) = warm_run(1, Some(twin));
+        assert_eq!(from_pool, cold);
+        assert_eq!(from_twin, cold);
     }
 
     #[test]

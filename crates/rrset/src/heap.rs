@@ -86,6 +86,11 @@ impl LazyMaxHeap {
         None
     }
 
+    /// Bytes held by the entry buffer.
+    pub fn memory_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<(u64, NodeId)>()
+    }
+
     /// Peeks at the maximum stored key (possibly stale).
     pub fn peek_key(&self) -> Option<u64> {
         self.heap.peek().map(|&(k, _)| k)

@@ -4,7 +4,13 @@
 //! * **KPT estimation** — a lower bound on `OPT_s` obtained by sampling
 //!   RR sets in geometrically growing batches and testing the statistic
 //!   `κ(R) = 1 − (1 − w(R)/m)^s`, where `w(R)` is the number of arcs
-//!   entering nodes of `R`.
+//!   entering nodes of `R`. The widths are cached as a prefix of one
+//!   fixed per-seed stream, so an estimate is a pure function of `s`;
+//!   [`KptEstimator`] therefore memoizes it by `s`, and a long-lived
+//!   owner that re-attaches the detached [`KptState`] (TIRM's warm
+//!   reruns ask for the same `s` values event after event) pays a lookup
+//!   instead of an O(samples) fold. The memo travels with the state and
+//!   is dropped when ℓ changes.
 //! * **`L(s, ε)` / θ** — the paper's Eq. 5: with
 //!   `λ(s) = (8 + 2ε)·n·(ℓ·ln n + ln C(n,s) + ln 2)/ε²`, any
 //!   `θ ≥ λ(s)/OPT_s` gives the spread-estimation guarantee of
@@ -89,7 +95,9 @@ impl SampleBound {
 /// an allocation run ends and re-attaches it
 /// ([`KptEstimator::from_state`]) on the next run, so repeated
 /// re-allocations of a long-lived ad never redraw estimation samples yet
-/// return bit-identical estimates.
+/// return bit-identical estimates. Purity is also what licenses the
+/// per-`s` memo the state carries: a re-asked `s` is a lookup, not a
+/// refold of the widths.
 pub struct KptEstimator<'a> {
     sampler: RrSampler<'a>,
     m: usize,
@@ -99,6 +107,13 @@ pub struct KptEstimator<'a> {
     engine: ParallelSampler,
     /// Sum of in-degrees per node, precomputed once.
     indeg: Vec<u32>,
+    /// Estimates computed so far, sorted by `s` (valid for `ell`).
+    memo: Vec<(usize, f64)>,
+    /// Estimates folded from the widths since this estimator was built or
+    /// re-attached (memo misses).
+    computed: usize,
+    /// Estimates answered from the memo since then.
+    reused: usize,
 }
 
 impl<'a> KptEstimator<'a> {
@@ -128,6 +143,9 @@ impl<'a> KptEstimator<'a> {
             widths: Vec::new(),
             engine: ParallelSampler::new(config, g.num_nodes()),
             indeg,
+            memo: Vec::new(),
+            computed: 0,
+            reused: 0,
         }
     }
 
@@ -158,23 +176,50 @@ impl<'a> KptEstimator<'a> {
     /// [`Self::estimate`], optionally drawing its batches through a
     /// precomputed [`FastPath`]. Bit-identical result either way — the
     /// fast route preserves the width stream exactly, so mixing plain
-    /// and fast calls against one estimator is sound.
+    /// and fast calls against one estimator is sound. A repeated `s` is
+    /// answered from the memo without touching the widths.
     pub fn estimate_with(&mut self, s: usize, fast: Option<&FastPath>) -> f64 {
+        match self.memo.binary_search_by_key(&s, |&(k, _)| k) {
+            Ok(pos) => {
+                self.reused += 1;
+                self.memo[pos].1
+            }
+            Err(pos) => {
+                self.computed += 1;
+                let kpt = self.compute(s, fast);
+                self.memo.insert(pos, (s, kpt));
+                kpt
+            }
+        }
+    }
+
+    /// The KPT rounds themselves. One running sum folds the widths across
+    /// rounds: round `i` continues the fold of round `i − 1` over
+    /// `widths[c_{i−1}..c_i]`, which adds the same terms in the same order
+    /// as re-summing `widths[..c_i]` from zero, so it is bit-identical.
+    fn compute(&mut self, s: usize, fast: Option<&FastPath>) -> f64 {
         let n = self.sampler.graph().num_nodes();
         if self.m == 0 {
             return 1.0;
         }
+        // `s as i32` would wrap for s ≥ 2³¹ (collapsing KPT to 1).
+        // Saturating changes nothing below that; above it the estimate is
+        // KPT(2³¹ − 1), still a lower bound on OPT_s because OPT_s grows
+        // with s.
+        let exp = i32::try_from(s).unwrap_or(i32::MAX);
         let log2n = (n as f64).log2();
         let rounds = log2n.floor() as i32 - 1;
         let base = 6.0 * self.ell * (n as f64).ln() + 6.0 * log2n.max(1.0).ln();
+        let mut sum = 0.0f64;
+        let mut summed = 0usize;
         for i in 1..=rounds.max(1) {
             let ci = (base * 2f64.powi(i)).ceil() as usize;
             self.fill_widths(ci, fast);
-            let mut sum = 0.0f64;
-            for &w in &self.widths[..ci] {
+            for &w in &self.widths[summed..ci] {
                 let frac = (w as f64 / self.m as f64).min(1.0);
-                sum += 1.0 - (1.0 - frac).powi(s as i32);
+                sum += 1.0 - (1.0 - frac).powi(exp);
             }
+            summed = ci;
             if sum / ci as f64 > 1.0 / 2f64.powi(i) {
                 return (n as f64 * sum / (2.0 * ci as f64)).max(1.0);
             }
@@ -187,25 +232,43 @@ impl<'a> KptEstimator<'a> {
         self.widths.len()
     }
 
-    /// Detaches the estimator's persistent capital — the width cache and
-    /// the sampling-engine stream position — for storage by a long-lived
-    /// owner across borrow scopes.
+    /// Estimates folded from the widths since this estimator was built or
+    /// re-attached — memo misses.
+    pub fn estimates_computed(&self) -> usize {
+        self.computed
+    }
+
+    /// Estimates answered from the memo since this estimator was built or
+    /// re-attached.
+    pub fn estimates_reused(&self) -> usize {
+        self.reused
+    }
+
+    /// Detaches the estimator's persistent capital — the width cache,
+    /// the sampling-engine stream position and the estimate memo — for
+    /// storage by a long-lived owner across borrow scopes.
     pub fn into_state(self) -> KptState {
         KptState {
             widths: self.widths,
             engine: self.engine,
+            memo: self.memo,
+            memo_ell: self.ell,
         }
     }
 
     /// Rebuilds an estimator around previously detached state. The
     /// sampler must project the same graph/probabilities and the state
     /// must come from an estimator with the same configuration, or the
-    /// width stream would be inconsistent.
-    pub fn from_state(sampler: RrSampler<'a>, ell: f64, state: KptState) -> Self {
+    /// width stream would be inconsistent. A memo taken under another ℓ
+    /// is dropped (the rounds' sample counts depend on ℓ).
+    pub fn from_state(sampler: RrSampler<'a>, ell: f64, mut state: KptState) -> Self {
         let g = sampler.graph();
         let indeg = (0..g.num_nodes() as NodeId)
             .map(|v| g.in_degree(v) as u32)
             .collect();
+        if state.memo_ell.to_bits() != ell.to_bits() {
+            state.memo = Vec::new();
+        }
         KptEstimator {
             sampler,
             m: g.num_edges(),
@@ -213,24 +276,38 @@ impl<'a> KptEstimator<'a> {
             widths: state.widths,
             engine: state.engine,
             indeg,
+            memo: state.memo,
+            computed: 0,
+            reused: 0,
         }
     }
 }
 
-/// Detached [`KptEstimator`] capital: the cached sample widths plus the
-/// estimation engine's stream position. Owning this (instead of the
-/// estimator itself) avoids tying a long-lived structure to the graph
-/// borrow inside `RrSampler`.
+/// Detached [`KptEstimator`] capital: the cached sample widths, the
+/// estimation engine's stream position and the estimate memo. Owning
+/// this (instead of the estimator itself) avoids tying a long-lived
+/// structure to the graph borrow inside `RrSampler`.
 pub struct KptState {
     widths: Vec<u64>,
     engine: ParallelSampler,
+    /// `(s, KPT(s))` sorted by `s`, computed under ℓ = `memo_ell`.
+    memo: Vec<(usize, f64)>,
+    memo_ell: f64,
 }
 
 impl KptState {
-    /// Bytes held: the width cache plus the estimation engine's O(n)
-    /// per-shard workspaces.
+    /// Bytes held: the width cache, the estimation engine's O(n)
+    /// per-shard workspaces and the estimate memo.
     pub fn memory_bytes(&self) -> usize {
-        self.widths.capacity() * 8 + self.engine.memory_bytes()
+        self.widths.capacity() * 8
+            + self.engine.memory_bytes()
+            + self.memo.capacity() * std::mem::size_of::<(usize, f64)>()
+    }
+
+    /// Drops the estimate memo (a pure cache: the next estimator
+    /// recomputes the same values from the widths).
+    pub fn clear_memo(&mut self) {
+        self.memo = Vec::new();
     }
 
     /// The serializable view for checkpointing: the cached widths and
@@ -249,6 +326,8 @@ impl KptState {
         Ok(KptState {
             widths,
             engine: ParallelSampler::from_state(engine, num_nodes)?,
+            memo: Vec::new(),
+            memo_ell: f64::NAN,
         })
     }
 }
@@ -417,6 +496,115 @@ mod tests {
         assert_eq!(back.samples_used(), used);
         assert_eq!(back.estimate(5), via_history);
         assert_eq!(back.samples_used(), used, "cache hit, no new draws");
+    }
+
+    #[test]
+    fn kpt_exponent_saturates_past_i32() {
+        // `powi(s as i32)` wrapped at s = 2³¹ and collapsed KPT to 1; a
+        // saturated exponent keeps KPT(2³¹) = KPT(2³¹ − 1).
+        let g = generators::erdos_renyi(500, 4000, 2);
+        let probs = vec![0.15f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        let mut est = KptEstimator::new(sampler, 1.0, 4);
+        let below = est.estimate(i32::MAX as usize);
+        assert!(below > 1.0, "KPT(2³¹ − 1) = {below} should be non-trivial");
+        for s in [1usize << 31, 1 << 40, usize::MAX] {
+            let mut fresh = KptEstimator::new(sampler, 1.0, 4);
+            assert_eq!(fresh.estimate(s).to_bits(), below.to_bits(), "s = {s}");
+        }
+    }
+
+    #[test]
+    fn memo_answers_match_a_fresh_estimator_in_any_order() {
+        let g = generators::erdos_renyi(300, 1500, 5);
+        let probs = vec![0.1f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        let asks = [7usize, 1, 300, 2, 7, 40, 1, 1 << 20, 3, 40, 300, 2];
+        let distinct = {
+            let mut d = asks.to_vec();
+            d.sort_unstable();
+            d.dedup();
+            d.len()
+        };
+        let mut memo = KptEstimator::new(sampler, 1.0, 9);
+        for &s in &asks {
+            let mut fresh = KptEstimator::new(sampler, 1.0, 9);
+            assert_eq!(
+                memo.estimate(s).to_bits(),
+                fresh.estimate(s).to_bits(),
+                "s = {s}"
+            );
+        }
+        assert_eq!(memo.estimates_computed(), distinct);
+        assert_eq!(memo.estimates_reused(), asks.len() - distinct);
+
+        // The memo survives detach/re-attach under the same ℓ …
+        let used = memo.samples_used();
+        let mut back = KptEstimator::from_state(sampler, 1.0, memo.into_state());
+        for &s in &asks {
+            let mut fresh = KptEstimator::new(sampler, 1.0, 9);
+            assert_eq!(back.estimate(s).to_bits(), fresh.estimate(s).to_bits());
+        }
+        assert_eq!(back.estimates_computed(), 0, "every ask is a memo hit");
+        assert_eq!(back.samples_used(), used);
+
+        // … and is dropped under another ℓ, which changes the rounds.
+        let mut other = KptEstimator::from_state(sampler, 2.0, back.into_state());
+        let mut fresh = KptEstimator::new(sampler, 2.0, 9);
+        assert_eq!(other.estimate(7).to_bits(), fresh.estimate(7).to_bits());
+        assert_eq!(other.estimates_computed(), 1);
+
+        // Clearing the memo frees its bytes and changes no answer.
+        let mut state = other.into_state();
+        let with_memo = state.memory_bytes();
+        state.clear_memo();
+        assert!(state.memory_bytes() < with_memo);
+        let mut cleared = KptEstimator::from_state(sampler, 2.0, state);
+        assert_eq!(cleared.estimate(7).to_bits(), fresh.estimate(7).to_bits());
+        assert_eq!(cleared.estimates_computed(), 1);
+    }
+
+    /// The pre-memo estimate: every round re-sums `widths[..c_i]` from
+    /// zero. Draws through the estimator's own width cache.
+    fn per_round_reference(est: &mut KptEstimator<'_>, s: usize) -> f64 {
+        let n = est.sampler.graph().num_nodes();
+        let exp = i32::try_from(s).unwrap_or(i32::MAX);
+        let log2n = (n as f64).log2();
+        let rounds = log2n.floor() as i32 - 1;
+        let base = 6.0 * est.ell * (n as f64).ln() + 6.0 * log2n.max(1.0).ln();
+        for i in 1..=rounds.max(1) {
+            let ci = (base * 2f64.powi(i)).ceil() as usize;
+            est.fill_widths(ci, None);
+            let mut sum = 0.0f64;
+            for &w in &est.widths[..ci] {
+                let frac = (w as f64 / est.m as f64).min(1.0);
+                sum += 1.0 - (1.0 - frac).powi(exp);
+            }
+            if sum / ci as f64 > 1.0 / 2f64.powi(i) {
+                return (n as f64 * sum / (2.0 * ci as f64)).max(1.0);
+            }
+        }
+        1.0
+    }
+
+    #[test]
+    fn running_sum_matches_per_round_recompute() {
+        // Sparse and dense graphs, so acceptance lands in early and late
+        // rounds alike.
+        for (g, p) in [
+            (generators::erdos_renyi(400, 800, 3), 0.02f32),
+            (generators::erdos_renyi(400, 4000, 3), 0.1),
+            (generators::star(200), 0.3),
+        ] {
+            let probs = vec![p; g.num_edges()];
+            let sampler = RrSampler::new(&g, &probs);
+            for s in [1usize, 2, 5, 33, 1000, 1 << 31] {
+                let mut reference = KptEstimator::new(sampler, 1.0, 21);
+                let want = per_round_reference(&mut reference, s);
+                let mut est = KptEstimator::new(sampler, 1.0, 21);
+                assert_eq!(est.estimate(s).to_bits(), want.to_bits(), "s = {s}");
+            }
+        }
     }
 
     #[test]

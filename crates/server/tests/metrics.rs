@@ -116,6 +116,8 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     for name in [
         "tirm_server_accepted_total",
         "tirm_rrset_rr_sets_sampled_total",
+        "tirm_rrset_kpt_estimates_computed_total",
+        "tirm_rrset_fast_paths_built_total",
     ] {
         let v = section_u64(&counters, name);
         assert!(v.is_some_and(|v| v > 0), "{name} missing or zero: {v:?}");
@@ -125,6 +127,10 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     assert!(
         section_u64(&counters, "tirm_server_shed_total").is_some(),
         "shed counter not covered"
+    );
+    assert!(
+        section_u64(&counters, "tirm_rrset_kpt_estimates_reused_total").is_some(),
+        "KPT memo hits not covered"
     );
     let reconciliations = section_u64(&counters, "tirm_online_delta_reconciliations_total")
         .zip(section_u64(
@@ -165,6 +171,11 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
         tirm_obs::prom::sample_value(&samples, "tirm_server_accepted_total")
             .is_some_and(|v| v > 0.0),
         "HTTP exposition must serve the same non-zero counters"
+    );
+    assert!(
+        tirm_obs::prom::sample_value(&samples, "tirm_rrset_fast_paths_built_total")
+            .is_some_and(|v| v > 0.0),
+        "warm-cache counters must reach /metrics"
     );
     // And the structured dump over HTTP round-trips as JSON too.
     let json = tirm_obs::http::fetch(srv.addr(), "/metrics.json", Duration::from_secs(5)).unwrap();
